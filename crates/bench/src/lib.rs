@@ -3,7 +3,9 @@
 //! Benchmark harnesses reproducing every table and figure of the paper's
 //! evaluation (§6). Each `fig*` binary prints the same rows/series the
 //! paper reports; `table1` demonstrates the Table 1 semirings on the
-//! running example. See EXPERIMENTS.md for paper-vs-measured notes.
+//! running example. The repository's end-to-end and per-layer benchmark,
+//! which the committed `BENCH_<n>.json` results come from, is declared
+//! in `BENCHMARK.json` at the repository root and lives in `perfbench/`.
 //!
 //! Scales default to CI-friendly sizes; set `PROQL_SCALE=full` to run the
 //! paper's original parameters (minutes, not seconds).

@@ -13,8 +13,8 @@
 use crate::annotate::{run_annotation_opts, AnnotatedResult};
 use crate::ast::Query;
 use crate::exec::{
-    prepare_rules, run_projection_graph, run_projection_prepared, run_projection_prepared_profiled,
-    PreparedRule, ProjectionResult,
+    prepare_rule, run_projection_graph, run_projection_prepared, run_projection_prepared_profiled,
+    PrepareTimes, PreparedRule, ProjectionResult,
 };
 use crate::parser::parse_query;
 use crate::translate::{translate, BodyRewriter, TranslateOptions, TranslateStats, Translation};
@@ -345,6 +345,10 @@ impl Engine {
             s => s,
         };
         let t0 = Instant::now();
+        // A live span gets the prepare time split by phase, summed over
+        // the rules (one span per rule would flood the ring).
+        let traced = sp.id().is_some();
+        let mut times = PrepareTimes::default();
         let (unfold, touched) = match strategy {
             Strategy::Unfold => {
                 let translation = translate(
@@ -356,8 +360,15 @@ impl Engine {
                         .map(|r| r as &dyn BodyRewriter),
                     &self.options.translate,
                 )?;
+                if traced {
+                    sp.field("translate_us", t0.elapsed().as_micros().to_string());
+                }
                 let touched = touched_relations_unfold(&self.sys, &translation);
-                let rules = prepare_rules(&self.sys, &translation)?;
+                let rules = translation
+                    .rules
+                    .iter()
+                    .map(|r| prepare_rule(&self.sys, r, traced.then_some(&mut times)))
+                    .collect::<Result<Vec<_>>>()?;
                 (Some(PreparedUnfold { translation, rules }), touched)
             }
             Strategy::Graph | Strategy::Auto => {
@@ -372,6 +383,10 @@ impl Engine {
         sp.field("strategy", format!("{strategy:?}"));
         if let Some(u) = &unfold {
             sp.field("rules", u.rules.len().to_string());
+            if traced {
+                sp.field("compile_us", times.compile.as_micros().to_string());
+                sp.field("optimize_us", times.optimize.as_micros().to_string());
+            }
         }
         Ok(PreparedQuery {
             query: q.clone(),

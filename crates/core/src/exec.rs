@@ -23,6 +23,7 @@ use proql_storage::{
     Database, ExecMode, Expr, OpStat,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::time::{Duration, Instant};
 
 /// The result of a graph-projection query: the output subgraph (encoded
 /// relationally, one row-set per provenance relation) plus the binding
@@ -93,14 +94,34 @@ pub struct PreparedRule {
     pub var_cols: HashMap<String, usize>,
 }
 
-/// Compile and optimize one unfolded rule.
-pub fn prepare_rule(sys: &ProvenanceSystem, rule: &QueryRule) -> Result<PreparedRule> {
+/// Wall time spent preparing rules, by phase, summed over the rules.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PrepareTimes {
+    /// Compiling each rule body (and its condition) to a plan.
+    pub compile: Duration,
+    /// Running the optimizer's pass pipeline over each plan.
+    pub optimize: Duration,
+}
+
+/// Compile and optimize one unfolded rule, adding the time of each phase
+/// to `times` when given.
+pub fn prepare_rule(
+    sys: &ProvenanceSystem,
+    rule: &QueryRule,
+    times: Option<&mut PrepareTimes>,
+) -> Result<PreparedRule> {
+    let start = times.is_some().then(Instant::now);
     let bp = compile_body(&sys.db, &rule.atoms)?;
     let mut plan = bp.plan;
     if let Some(cond) = &rule.condition {
         plan = plan.filter(cond_to_expr(cond, &bp.var_cols)?);
     }
+    let compiled = times.is_some().then(Instant::now);
     let plan = optimize_with(&sys.db, plan);
+    if let (Some(t), Some(start), Some(compiled)) = (times, start, compiled) {
+        t.compile += compiled - start;
+        t.optimize += compiled.elapsed();
+    }
     Ok(PreparedRule {
         plan,
         var_cols: bp.var_cols,
@@ -115,7 +136,7 @@ pub fn prepare_rules(
     translation
         .rules
         .iter()
-        .map(|r| prepare_rule(sys, r))
+        .map(|r| prepare_rule(sys, r, None))
         .collect()
 }
 

@@ -109,10 +109,15 @@ impl Database {
 
     /// Access a base table.
     pub fn table(&self, name: &str) -> Result<&Table> {
-        self.tables
-            .get(name)
-            .map(Arc::as_ref)
+        self.find_table(name)
             .ok_or_else(|| Error::NotFound(format!("table {name}")))
+    }
+
+    /// Access a base table, or `None` for a view or an unknown name.
+    /// Unlike [`Database::table`], a miss allocates nothing, so callers
+    /// that probe tables before views (the optimizer) stay cheap.
+    pub fn find_table(&self, name: &str) -> Option<&Table> {
+        self.tables.get(name).map(Arc::as_ref)
     }
 
     /// Mutable access to a base table. When the table's storage is shared

@@ -231,7 +231,6 @@ fn exec_inner(db: &Database, plan: &Plan, depth: usize, algo: JoinAlgo) -> Resul
             key,
             residual,
         } => {
-            let t = db.table(table)?;
             if columns.len() != key.len() {
                 return Err(Error::Storage(format!(
                     "index lookup on {table}: {} columns vs {} key values",
@@ -239,6 +238,19 @@ fn exec_inner(db: &Database, plan: &Plan, depth: usize, algo: JoinAlgo) -> Resul
                     key.len()
                 )));
             }
+            // The catalog-free index pass cannot tell a view from a table;
+            // a lookup on a view is the filtered scan it was made from.
+            if !db.has_table(table) && db.view(table).is_some() {
+                let mut preds: Vec<Expr> = columns
+                    .iter()
+                    .zip(key)
+                    .map(|(&c, v)| Expr::col(c).eq(Expr::lit(v.clone())))
+                    .collect();
+                preds.extend(residual.clone());
+                let scan = Plan::scan(table.as_str()).filter(Expr::and(preds));
+                return exec_inner(db, &scan, depth, algo);
+            }
+            let t = db.table(table)?;
             if let Some(&c) = columns.iter().find(|&&c| c >= t.schema().arity()) {
                 return Err(Error::Storage(format!(
                     "index lookup column {c} out of range for {table}"
@@ -851,6 +863,32 @@ mod tests {
             residual: Some(Expr::col(2).eq(Expr::lit(7))),
         };
         assert_eq!(execute(&db, &p2).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn index_lookup_on_a_view_is_its_filtered_scan() {
+        // The catalog-free index pass rewrites `Filter(Scan(view))` too.
+        let mut db = db();
+        let schema =
+            Schema::build("V", &[("id", ValueType::Int), ("sn", ValueType::Str)], &[]).unwrap();
+        db.create_view(
+            "V",
+            Plan::scan("A").project(vec![Expr::col(0), Expr::col(1)]),
+            schema,
+        )
+        .unwrap();
+        let filtered = Plan::scan("V").filter(Expr::col(1).eq(Expr::lit(Value::str("sn1"))));
+        let lookup = Plan::IndexLookup {
+            table: "V".into(),
+            columns: vec![1],
+            key: vec![Value::str("sn1")],
+            residual: Some(Expr::col(0).eq(Expr::lit(1))),
+        };
+        let want = execute(&db, &filtered.filter(Expr::col(0).eq(Expr::lit(1)))).unwrap();
+        let got = execute(&db, &lookup).unwrap();
+        assert_eq!(got.names, want.names);
+        assert_eq!(got.sorted_rows(), want.sorted_rows());
+        assert_eq!(got.len(), 1);
     }
 
     #[test]

@@ -27,6 +27,8 @@
 use crate::database::Database;
 use crate::expr::{BinOp, Expr};
 use crate::plan::{BuildSide, JoinType, Plan};
+use crate::stats::ColumnStats;
+use crate::table::Table;
 use proql_common::Value;
 
 /// One optimizer pass. [`OptimizerConfig`] orders them; benchmarks ablate
@@ -110,28 +112,143 @@ const DEFAULT_SELECTIVITY: f64 = 1.0 / 3.0;
 /// table statistics. Heuristic, only used to order performance-neutral
 /// choices — never for correctness.
 pub fn estimate_rows(db: &Database, plan: &Plan) -> usize {
-    est(db, plan, 0).round().min(u64::MAX as f64) as usize
+    whole_rows(card(db, plan, 0).rows)
 }
 
-fn est(db: &Database, plan: &Plan, depth: usize) -> f64 {
-    // Views may reference views; a cyclic definition (which the executors
-    // reject with an error) must not overflow the estimator's stack.
-    if depth > crate::exec::MAX_VIEW_DEPTH {
-        return 0.0;
+/// A row estimate as the whole number [`estimate_rows`] reports.
+fn whole_rows(rows: f64) -> usize {
+    rows.round().min(u64::MAX as f64) as usize
+}
+
+/// Where the statistics of one output column come from.
+#[derive(Clone, Copy)]
+enum ColSource<'a> {
+    /// Not traceable to a base table (computed, aggregated, unioned, or
+    /// past the view-depth limit).
+    Unknown,
+    /// A projected literal: one distinct value, no histogram.
+    Lit,
+    /// A base-table column, traced through order- and column-preserving
+    /// operators.
+    ///
+    /// For dictionary-encoded string columns the per-column stats key
+    /// their value→count map by interned `u32` code instead of by owned
+    /// [`Value`] ([`crate::stats`]), so the NDV **is** the dictionary
+    /// cardinality — same number, cheaper bookkeeping, and estimates stay
+    /// bit-identical whether or not `PROQL_DICT` encoding is enabled.
+    Base(&'a ColumnStats),
+}
+
+/// The cardinality model's summary of a subplan, derived bottom-up from
+/// its inputs' summaries so that no subtree is walked twice.
+struct Card<'a> {
+    /// Estimated output rows.
+    rows: f64,
+    /// Catalog-aware output arity, when derivable.
+    arity: Option<usize>,
+    /// Source of each output column; columns past the end are unknown.
+    cols: Vec<ColSource<'a>>,
+}
+
+impl<'a> Card<'a> {
+    /// Nothing known: an unknown relation, or past the view-depth limit.
+    fn unknown() -> Self {
+        Card {
+            rows: 0.0,
+            arity: None,
+            cols: Vec::new(),
+        }
     }
+
+    /// The columns of base table `t`.
+    fn table(t: &'a Table, rows: f64) -> Self {
+        let stats = t.stats();
+        Card {
+            rows,
+            arity: Some(t.schema().arity()),
+            cols: (0..)
+                .map_while(|c| stats.column(c))
+                .map(ColSource::Base)
+                .collect(),
+        }
+    }
+
+    fn col(&self, c: usize) -> ColSource<'a> {
+        self.cols.get(c).copied().unwrap_or(ColSource::Unknown)
+    }
+
+    /// Distinct values of output column `c`.
+    fn ndv(&self, c: usize) -> Option<f64> {
+        match self.col(c) {
+            ColSource::Base(s) => Some(s.ndv() as f64),
+            ColSource::Lit => Some(1.0),
+            ColSource::Unknown => None,
+        }
+    }
+
+    /// Base-table statistics of output column `c`.
+    fn stats(&self, c: usize) -> Option<&'a ColumnStats> {
+        match self.col(c) {
+            ColSource::Base(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// The [`Card`] of `plan`. Views may reference views; a cyclic definition
+/// (which the executors reject with an error) must not overflow the
+/// estimator's stack, so past the depth limit nothing is known.
+fn card<'a>(db: &'a Database, plan: &Plan, depth: usize) -> Card<'a> {
+    if depth > crate::exec::MAX_VIEW_DEPTH {
+        return Card::unknown();
+    }
+    let inputs = match plan {
+        Plan::Scan { .. } | Plan::Values { .. } | Plan::IndexLookup { .. } => Vec::new(),
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Distinct { input }
+        | Plan::Aggregate { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::Limit { input, .. } => vec![card(db, input, depth)],
+        Plan::Join { left, right, .. } => vec![card(db, left, depth), card(db, right, depth)],
+        Plan::Union { inputs, .. } => inputs.iter().map(|p| card(db, p, depth)).collect(),
+    };
+    derive_card(db, plan, inputs, depth)
+}
+
+/// The [`Card`] of `plan` from the cards of its inputs, in child order
+/// (a join's left input first).
+fn derive_card<'a>(
+    db: &'a Database,
+    plan: &Plan,
+    mut inputs: Vec<Card<'a>>,
+    depth: usize,
+) -> Card<'a> {
+    let mut input = || inputs.pop().expect("one card per plan input");
     match plan {
         Plan::Scan { table } => {
-            if let Ok(t) = db.table(table) {
-                t.len() as f64
+            if let Some(t) = db.find_table(table) {
+                Card::table(t, t.len() as f64)
             } else if let Some(v) = db.view(table) {
-                est(db, &v.plan, depth + 1)
+                Card {
+                    arity: Some(v.schema.arity()),
+                    ..card(db, &v.plan, depth + 1)
+                }
             } else {
-                0.0
+                Card::unknown()
             }
         }
-        Plan::Values { rows, .. } => rows.len() as f64,
-        Plan::Filter { input, predicate } => {
-            est(db, input, depth) * selectivity(db, input, predicate, depth)
+        Plan::Values { schema, rows } => Card {
+            rows: rows.len() as f64,
+            arity: Some(schema.arity()),
+            cols: Vec::new(),
+        },
+        Plan::Filter { predicate, .. } => {
+            let input = input();
+            Card {
+                rows: input.rows * selectivity(&input, predicate),
+                ..input
+            }
         }
         Plan::IndexLookup {
             table,
@@ -139,7 +256,9 @@ fn est(db: &Database, plan: &Plan, depth: usize) -> f64 {
             residual,
             ..
         } => {
-            let Ok(t) = db.table(table) else { return 0.0 };
+            let Some(t) = db.find_table(table) else {
+                return Card::unknown();
+            };
             let rows = t.len() as f64;
             // A physical index knows its exact distinct-key count; without
             // one, the per-column NDVs from the stats subsystem stand in.
@@ -151,50 +270,88 @@ fn est(db: &Database, plan: &Plan, depth: usize) -> f64 {
                     .product::<f64>()
                     .min(rows),
             };
-            let mut out = rows / keys.max(1.0);
+            let mut lookup = Card::table(t, rows / keys.max(1.0));
             if let Some(r) = residual {
-                out *= selectivity(db, &Plan::scan(table.clone()), r, depth);
+                lookup.rows *= selectivity(&lookup, r);
             }
-            out
+            lookup
         }
-        Plan::Project { input, .. } | Plan::Distinct { input } | Plan::Sort { input, .. } => {
-            est(db, input, depth)
+        Plan::Project { exprs, .. } => {
+            let input = input();
+            Card {
+                rows: input.rows,
+                arity: Some(exprs.len()),
+                cols: exprs
+                    .iter()
+                    .map(|e| match e {
+                        Expr::Col(i) => input.col(*i),
+                        Expr::Lit(_) => ColSource::Lit,
+                        _ => ColSource::Unknown,
+                    })
+                    .collect(),
+            }
         }
-        Plan::Limit { input, n } => est(db, input, depth).min(*n as f64),
+        Plan::Distinct { .. } | Plan::Sort { .. } => input(),
+        Plan::Limit { n, .. } => {
+            let input = input();
+            Card {
+                rows: input.rows.min(*n as f64),
+                ..input
+            }
+        }
         Plan::Join {
-            left,
-            right,
             left_keys,
             right_keys,
             join_type,
             ..
         } => {
-            let l = est(db, left, depth);
-            let r = est(db, right, depth);
-            let inner = join_est(db, left, l, right, r, left_keys, right_keys, depth);
+            let r = input();
+            let l = input();
+            let inner = join_rows(&l, &r, left_keys, right_keys);
             // Outer joins additionally keep every unmatched padded row.
-            match join_type {
+            let rows = match join_type {
                 JoinType::Inner => inner,
-                JoinType::LeftOuter => inner.max(l),
-                JoinType::RightOuter => inner.max(r),
-                JoinType::FullOuter => inner.max(l).max(r),
-            }
+                JoinType::LeftOuter => inner.max(l.rows),
+                JoinType::RightOuter => inner.max(r.rows),
+                JoinType::FullOuter => inner.max(l.rows).max(r.rows),
+            };
+            let arity = l.arity.zip(r.arity).map(|(a, b)| a + b);
+            // Right-side columns start at the left arity; without it no
+            // column is traceable.
+            let cols = match l.arity {
+                Some(la) => {
+                    let mut cols = l.cols;
+                    cols.resize(la, ColSource::Unknown);
+                    cols.extend(r.cols);
+                    cols
+                }
+                None => Vec::new(),
+            };
+            Card { rows, arity, cols }
         }
-        Plan::Union { inputs, .. } => inputs.iter().map(|p| est(db, p, depth)).sum(),
-        Plan::Aggregate {
-            input, group_by, ..
-        } => {
-            let n = est(db, input, depth);
-            if group_by.is_empty() {
+        Plan::Union { .. } => Card {
+            rows: inputs.iter().map(|c| c.rows).sum(),
+            arity: inputs.first().and_then(|c| c.arity),
+            cols: Vec::new(),
+        },
+        Plan::Aggregate { group_by, aggs, .. } => {
+            let input = input();
+            let n = input.rows;
+            let rows = if group_by.is_empty() {
                 1.0
             } else {
                 // Groups are bounded by the product of the grouping
                 // columns' NDVs, when derivable.
                 let groups: f64 = group_by
                     .iter()
-                    .map(|&c| col_ndv(db, input, c, depth).unwrap_or(n / 2.0).max(1.0))
+                    .map(|&c| input.ndv(c).unwrap_or(n / 2.0).max(1.0))
                     .product();
                 groups.min(n).max(1.0)
+            };
+            Card {
+                rows,
+                arity: Some(group_by.len() + aggs.len()),
+                cols: Vec::new(),
             }
         }
     }
@@ -203,94 +360,35 @@ fn est(db: &Database, plan: &Plan, depth: usize) -> f64 {
 /// Estimated inner-equi-join output: |L|·|R| divided by the product over
 /// key pairs of max(ndv(lk), ndv(rk)) — the classic containment-of-values
 /// model. Unknown NDVs fall back to the side's row estimate.
-#[allow(clippy::too_many_arguments)]
-fn join_est(
-    db: &Database,
-    left: &Plan,
-    l_rows: f64,
-    right: &Plan,
-    r_rows: f64,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    depth: usize,
-) -> f64 {
-    let mut out = l_rows * r_rows;
+fn join_rows(l: &Card, r: &Card, left_keys: &[usize], right_keys: &[usize]) -> f64 {
+    let mut out = l.rows * r.rows;
     for (&lk, &rk) in left_keys.iter().zip(right_keys) {
         // Containment of values: divide by the larger key *domain*. The
         // domain size deliberately stays unclamped by the side's row
         // estimate, so the divisor is invariant under join reordering.
-        let nl = col_ndv(db, left, lk, depth).unwrap_or(l_rows);
-        let nr = col_ndv(db, right, rk, depth).unwrap_or(r_rows);
+        let nl = l.ndv(lk).unwrap_or(l.rows);
+        let nr = r.ndv(rk).unwrap_or(r.rows);
         out /= nl.max(nr).max(1.0);
     }
     out
 }
 
-/// Distinct values of output column `col`, traced through order- and
-/// column-preserving operators down to a base table's statistics.
-///
-/// For dictionary-encoded string columns the per-column stats key their
-/// value→count map by interned `u32` code instead of by owned [`Value`]
-/// ([`crate::stats`]), so this NDV **is** the dictionary cardinality —
-/// same number, cheaper bookkeeping, and estimates stay bit-identical
-/// whether or not `PROQL_DICT` encoding is enabled.
-fn col_ndv(db: &Database, plan: &Plan, col: usize, depth: usize) -> Option<f64> {
-    if depth > crate::exec::MAX_VIEW_DEPTH {
-        return None;
-    }
-    match plan {
-        Plan::Scan { table } => {
-            if let Ok(t) = db.table(table) {
-                Some(t.stats().column(col)?.ndv() as f64)
-            } else {
-                col_ndv(db, &db.view(table)?.plan, col, depth + 1)
-            }
-        }
-        Plan::IndexLookup { table, .. } => {
-            let t = db.table(table).ok()?;
-            Some(t.stats().column(col)?.ndv() as f64)
-        }
-        Plan::Filter { input, .. } | Plan::Distinct { input } | Plan::Sort { input, .. } => {
-            col_ndv(db, input, col, depth)
-        }
-        Plan::Limit { input, .. } => col_ndv(db, input, col, depth),
-        Plan::Project { input, exprs, .. } => match exprs.get(col)? {
-            Expr::Col(i) => col_ndv(db, input, *i, depth),
-            Expr::Lit(_) => Some(1.0),
-            _ => None,
-        },
-        Plan::Join { left, right, .. } => {
-            let la = plan_arity_cat(db, left, depth)?;
-            if col < la {
-                col_ndv(db, left, col, depth)
-            } else {
-                col_ndv(db, right, col - la, depth)
-            }
-        }
-        _ => None,
-    }
-}
-
 /// Estimated fraction of `input`'s rows that satisfy `predicate`.
-fn selectivity(db: &Database, input: &Plan, predicate: &Expr, depth: usize) -> f64 {
-    let s = pred_selectivity(db, input, predicate, depth);
-    s.clamp(0.0, 1.0)
+fn selectivity(input: &Card, predicate: &Expr) -> f64 {
+    pred_selectivity(input, predicate).clamp(0.0, 1.0)
 }
 
-fn pred_selectivity(db: &Database, input: &Plan, pred: &Expr, depth: usize) -> f64 {
+fn pred_selectivity(input: &Card, pred: &Expr) -> f64 {
     match pred {
-        Expr::And(ps) => ps
-            .iter()
-            .map(|p| pred_selectivity(db, input, p, depth))
-            .product(),
+        Expr::And(ps) => ps.iter().map(|p| pred_selectivity(input, p)).product(),
         Expr::Or(ps) => {
             // Independence assumption: 1 - Π(1 - sᵢ).
             1.0 - ps
                 .iter()
-                .map(|p| 1.0 - pred_selectivity(db, input, p, depth))
+                .map(|p| 1.0 - pred_selectivity(input, p))
                 .product::<f64>()
         }
-        Expr::Not(p) => 1.0 - pred_selectivity(db, input, p, depth),
+        Expr::Not(p) => 1.0 - pred_selectivity(input, p),
         Expr::Lit(Value::Bool(true)) => 1.0,
         Expr::Lit(Value::Bool(false)) => 0.0,
         Expr::Bin(op, a, b) => {
@@ -299,7 +397,7 @@ fn pred_selectivity(db: &Database, input: &Plan, pred: &Expr, depth: usize) -> f
                 (Expr::Lit(v), Expr::Col(i)) => (*i, v),
                 _ => return DEFAULT_SELECTIVITY,
             };
-            let Some(stats) = col_stats(db, input, col, depth) else {
+            let Some(stats) = input.stats(col) else {
                 return DEFAULT_SELECTIVITY;
             };
             let ndv = stats.ndv().max(1) as f64;
@@ -322,102 +420,67 @@ fn pred_selectivity(db: &Database, input: &Plan, pred: &Expr, depth: usize) -> f
     }
 }
 
-/// Column statistics of `plan`'s output column `col`, when it traces to a
-/// base table.
-fn col_stats<'a>(
-    db: &'a Database,
-    plan: &Plan,
-    col: usize,
-    depth: usize,
-) -> Option<&'a crate::stats::ColumnStats> {
-    if depth > crate::exec::MAX_VIEW_DEPTH {
-        return None;
-    }
-    match plan {
-        Plan::Scan { table } => {
-            if let Ok(t) = db.table(table) {
-                t.stats().column(col)
-            } else {
-                col_stats(db, &db.view(table)?.plan, col, depth + 1)
-            }
-        }
-        Plan::IndexLookup { table, .. } => db.table(table).ok()?.stats().column(col),
-        Plan::Filter { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. } => col_stats(db, input, col, depth),
-        Plan::Project { input, exprs, .. } => match exprs.get(col)? {
-            Expr::Col(i) => col_stats(db, input, *i, depth),
-            _ => None,
-        },
-        Plan::Join { left, right, .. } => {
-            let la = plan_arity_cat(db, left, depth)?;
-            if col < la {
-                col_stats(db, left, col, depth)
-            } else {
-                col_stats(db, right, col - la, depth)
-            }
-        }
-        _ => None,
-    }
-}
-
 /// Catalog-aware output arity of a plan.
-fn plan_arity_cat(db: &Database, plan: &Plan, depth: usize) -> Option<usize> {
-    if depth > crate::exec::MAX_VIEW_DEPTH {
-        return None;
-    }
+fn plan_arity_cat(db: &Database, plan: &Plan) -> Option<usize> {
     match plan {
-        Plan::Scan { table } => {
-            if let Ok(t) = db.table(table) {
-                Some(t.schema().arity())
-            } else {
-                Some(db.view(table)?.schema.arity())
-            }
-        }
-        Plan::IndexLookup { table, .. } => Some(db.table(table).ok()?.schema().arity()),
+        Plan::Scan { table } => match db.find_table(table) {
+            Some(t) => Some(t.schema().arity()),
+            None => Some(db.view(table)?.schema.arity()),
+        },
+        Plan::IndexLookup { table, .. } => Some(db.find_table(table)?.schema().arity()),
         Plan::Values { schema, .. } => Some(schema.arity()),
         Plan::Project { exprs, .. } => Some(exprs.len()),
         Plan::Filter { input, .. }
         | Plan::Distinct { input }
         | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. } => plan_arity_cat(db, input, depth),
-        Plan::Union { inputs, .. } => plan_arity_cat(db, inputs.first()?, depth),
+        | Plan::Limit { input, .. } => plan_arity_cat(db, input),
+        Plan::Union { inputs, .. } => plan_arity_cat(db, inputs.first()?),
         Plan::Join { left, right, .. } => {
-            Some(plan_arity_cat(db, left, depth)? + plan_arity_cat(db, right, depth)?)
+            Some(plan_arity_cat(db, left)? + plan_arity_cat(db, right)?)
         }
         Plan::Aggregate { group_by, aggs, .. } => Some(group_by.len() + aggs.len()),
+    }
+}
+
+/// True when [`plan_names_cat`] can derive `plan`'s names (which implies
+/// [`plan_arity_cat`] can derive its arity), without building them.
+fn names_known(db: &Database, plan: &Plan) -> bool {
+    match plan {
+        Plan::Scan { table } => db.has_relation(table),
+        Plan::IndexLookup { table, .. } => db.has_table(table),
+        Plan::Values { .. } | Plan::Project { .. } => true,
+        Plan::Filter { input, .. }
+        | Plan::Distinct { input }
+        | Plan::Sort { input, .. }
+        | Plan::Limit { input, .. }
+        | Plan::Aggregate { input, .. } => names_known(db, input),
+        Plan::Union { inputs, .. } => inputs.first().is_some_and(|p| names_known(db, p)),
+        Plan::Join { left, right, .. } => names_known(db, left) && names_known(db, right),
     }
 }
 
 /// Catalog-aware output column names, replicating the executors' naming
 /// (including the join `_N` duplicate disambiguation) so a reordering
 /// projection can restore the exact original schema.
-fn plan_names_cat(db: &Database, plan: &Plan, depth: usize) -> Option<Vec<String>> {
-    if depth > crate::exec::MAX_VIEW_DEPTH {
-        return None;
-    }
+fn plan_names_cat(db: &Database, plan: &Plan) -> Option<Vec<String>> {
     let schema_names =
         |s: &proql_common::Schema| s.attributes().iter().map(|a| a.name.clone()).collect();
     match plan {
-        Plan::Scan { table } => {
-            if let Ok(t) = db.table(table) {
-                Some(schema_names(t.schema()))
-            } else {
-                Some(schema_names(&db.view(table)?.schema))
-            }
-        }
-        Plan::IndexLookup { table, .. } => Some(schema_names(db.table(table).ok()?.schema())),
+        Plan::Scan { table } => match db.find_table(table) {
+            Some(t) => Some(schema_names(t.schema())),
+            None => Some(schema_names(&db.view(table)?.schema)),
+        },
+        Plan::IndexLookup { table, .. } => Some(schema_names(db.find_table(table)?.schema())),
         Plan::Values { schema, .. } => Some(schema_names(schema)),
         Plan::Project { names, .. } => Some(names.clone()),
         Plan::Filter { input, .. }
         | Plan::Distinct { input }
         | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. } => plan_names_cat(db, input, depth),
-        Plan::Union { inputs, .. } => plan_names_cat(db, inputs.first()?, depth),
+        | Plan::Limit { input, .. } => plan_names_cat(db, input),
+        Plan::Union { inputs, .. } => plan_names_cat(db, inputs.first()?),
         Plan::Join { left, right, .. } => {
-            let l = plan_names_cat(db, left, depth)?;
-            let r = plan_names_cat(db, right, depth)?;
+            let l = plan_names_cat(db, left)?;
+            let r = plan_names_cat(db, right)?;
             Some(crate::exec::join_names(&l, &r))
         }
         Plan::Aggregate {
@@ -426,7 +489,7 @@ fn plan_names_cat(db: &Database, plan: &Plan, depth: usize) -> Option<Vec<String
             aggs,
             ..
         } => {
-            let inner = plan_names_cat(db, input, depth)?;
+            let inner = plan_names_cat(db, input)?;
             let mut names: Vec<String> = group_by
                 .iter()
                 .map(|&c| inner.get(c).cloned().unwrap_or_else(|| format!("c{c}")))
@@ -536,6 +599,23 @@ struct Chain {
     /// projection even on bail-out, because `join_names` duplicate
     /// disambiguation is not associative.
     left_deep: bool,
+    /// The original's output names, derived up front only for a
+    /// right-deep/bushy chain (flattening forgets its shape). A left-deep
+    /// chain's names are the left fold of `join_names` over its leaves,
+    /// derived only when a rebuild needs a restoring projection.
+    names: Option<Vec<String>>,
+}
+
+/// One predicate seen from the leaf it connects: the key pair
+/// `(global col of the other leaf, global col of this leaf)`.
+#[derive(Clone, Copy)]
+struct Link {
+    /// The leaf at the other end.
+    other: usize,
+    /// Global column on the other leaf.
+    from: usize,
+    /// Global column on this leaf.
+    to: usize,
 }
 
 impl Chain {
@@ -546,51 +626,101 @@ impl Chain {
             Err(i) => i - 1,
         }
     }
+
+    /// Each leaf's links, ascending by key pair and deduplicated; a leaf's
+    /// join keys with a set of placed leaves are the links whose `other`
+    /// is placed, in this order.
+    fn links(&self) -> Vec<Vec<Link>> {
+        let mut links = vec![Vec::new(); self.leaves.len()];
+        for &(a, b) in &self.preds {
+            let (la, lb) = (self.leaf_of(a), self.leaf_of(b));
+            links[la].push(Link {
+                other: lb,
+                from: b,
+                to: a,
+            });
+            links[lb].push(Link {
+                other: la,
+                from: a,
+                to: b,
+            });
+        }
+        for l in &mut links {
+            l.sort_unstable_by_key(|k| (k.from, k.to));
+            l.dedup_by_key(|k| (k.from, k.to));
+        }
+        links
+    }
+
+    /// The original's output names (see [`Chain::names`]).
+    fn output_names(&mut self, db: &Database) -> Vec<String> {
+        self.names.take().unwrap_or_else(|| {
+            self.leaves
+                .iter()
+                .map(|l| plan_names_cat(db, l).expect("checked by chain_shape"))
+                .reduce(|acc, n| crate::exec::join_names(&acc, &n))
+                .expect("chain has at least one leaf")
+        })
+    }
+}
+
+/// Estimated rows of joining `rows` rows with a leaf of `leaf_rows` rows
+/// over `links` whose `other` end satisfies `placed`, by the
+/// containment-of-values model of [`join_rows`] on per-column NDVs
+/// (`ndv[g]` for global column `g`). `None` when no link connects them.
+fn link_rows(
+    rows: f64,
+    leaf_rows: f64,
+    links: &[Link],
+    ndv: &[Option<f64>],
+    placed: impl Fn(usize) -> bool,
+) -> Option<f64> {
+    let mut out = rows * leaf_rows;
+    let mut connected = false;
+    for k in links.iter().filter(|k| placed(k.other)) {
+        let ns = ndv.get(k.from).copied().flatten().unwrap_or(rows);
+        let nj = ndv.get(k.to).copied().flatten().unwrap_or(leaf_rows);
+        out /= ns.max(nj).max(1.0);
+        connected = true;
+    }
+    connected.then_some(out)
 }
 
 /// Attempt to flatten and reorder the inner-join chain rooted at `plan`.
-/// Returns the original plan on any bail-out (underivable arity, fewer
+/// Returns the original plan on any bail-out (underivable names, fewer
 /// than three leaves, no connecting predicate).
 fn try_reorder_chain(db: &Database, plan: Plan) -> Result<Plan, Plan> {
-    let names = match plan_names_cat(db, &plan, 0) {
-        Some(n) => n,
-        None => return Err(plan),
+    // Flattening consumes the plan, so check first, on a borrow, that
+    // every leaf's names (and hence arity) are derivable.
+    let Some(left_deep) = chain_shape(db, &plan) else {
+        return Err(plan);
     };
+    let names = (!left_deep).then(|| plan_names_cat(db, &plan).expect("checked by chain_shape"));
     let mut chain = Chain {
         leaves: Vec::new(),
         offsets: Vec::new(),
         arities: Vec::new(),
         preds: Vec::new(),
         total: 0,
-        left_deep: true,
+        left_deep,
+        names,
     };
-    // Flattening consumes the plan; on failure, rebuild is impossible, so
-    // flatten a borrowed view first and only then consume.
-    if !flatten_ok(db, &plan) {
-        return Err(plan);
-    }
     flatten(db, plan, &mut chain);
+    let links = chain.links();
     if chain.leaves.len() < 3 || chain.preds.is_empty() {
-        return Err(rebuild_original(chain, names));
+        return Err(rebuild_original(db, chain, &links));
     }
 
     // Greedy ordering: start from the connected pair with the smallest
     // estimated join output, then repeatedly add the connected leaf whose
-    // join with the accumulated set is estimated cheapest.
-    let leaf_est: Vec<f64> = chain.leaves.iter().map(|l| est(db, l, 0)).collect();
-    let pair_est = |i: usize, j: usize| -> Option<f64> {
-        let keys = connecting_keys(&chain, &[i], j);
-        if keys.is_empty() {
-            return None;
-        }
-        let mut out = leaf_est[i] * leaf_est[j];
-        for &(gi, gj) in &keys {
-            let ni = leaf_global_ndv(db, &chain, gi).unwrap_or(leaf_est[i]);
-            let nj = leaf_global_ndv(db, &chain, gj).unwrap_or(leaf_est[j]);
-            out /= ni.max(nj).max(1.0);
-        }
-        Some(out)
-    };
+    // join with the accumulated set is estimated cheapest. Leaf estimates
+    // and per-column NDVs are derived once for the whole chain.
+    let cards: Vec<Card> = chain.leaves.iter().map(|l| card(db, l, 0)).collect();
+    let leaf_est: Vec<f64> = cards.iter().map(|c| c.rows).collect();
+    let mut ndv = Vec::with_capacity(chain.total);
+    for (c, &arity) in cards.iter().zip(&chain.arities) {
+        ndv.extend((0..arity).map(|col| c.ndv(col)));
+    }
     let n = chain.leaves.len();
     let mut best: Option<(f64, usize, usize)> = None;
     for i in 0..n {
@@ -598,36 +728,26 @@ fn try_reorder_chain(db: &Database, plan: Plan) -> Result<Plan, Plan> {
             if i == j {
                 continue;
             }
-            if let Some(e) = pair_est(i, j) {
-                let cand = (e, i, j);
-                if best.map(|b| cand.0 < b.0).unwrap_or(true) {
-                    best = Some(cand);
+            if let Some(e) = link_rows(leaf_est[i], leaf_est[j], &links[j], &ndv, |o| o == i) {
+                if best.map(|b| e < b.0).unwrap_or(true) {
+                    best = Some((e, i, j));
                 }
             }
         }
     }
-    let Some((_, first, second)) = best else {
-        return Err(rebuild_original(chain, names));
+    let Some((mut set_est, first, second)) = best else {
+        return Err(rebuild_original(db, chain, &links));
     };
     let mut order = vec![first, second];
     let mut placed = vec![false; n];
     placed[first] = true;
     placed[second] = true;
-    let mut set_est = pair_est(first, second).unwrap_or(leaf_est[first] * leaf_est[second]);
     while order.len() < n {
         let mut pick: Option<(f64, usize, bool)> = None; // (est, leaf, connected)
-        for j in 0..n {
-            if placed[j] {
-                continue;
-            }
-            let keys = connecting_keys(&chain, &order, j);
-            let connected = !keys.is_empty();
-            let mut e = set_est * leaf_est[j];
-            for &(gs, gj) in &keys {
-                let ns = leaf_global_ndv(db, &chain, gs).unwrap_or(set_est);
-                let nj = leaf_global_ndv(db, &chain, gj).unwrap_or(leaf_est[j]);
-                e /= ns.max(nj).max(1.0);
-            }
+        for j in (0..n).filter(|&j| !placed[j]) {
+            let joined = link_rows(set_est, leaf_est[j], &links[j], &ndv, |o| placed[o]);
+            let connected = joined.is_some();
+            let e = joined.unwrap_or(set_est * leaf_est[j]);
             let better = match pick {
                 None => true,
                 // Connected candidates always beat cross products.
@@ -645,24 +765,39 @@ fn try_reorder_chain(db: &Database, plan: Plan) -> Result<Plan, Plan> {
 
     // Identity order: the original plan is already the greedy choice.
     if order.iter().enumerate().all(|(k, &l)| k == l) {
-        return Err(rebuild_original(chain, names));
+        return Err(rebuild_original(db, chain, &links));
     }
 
-    Ok(build_ordered(chain, names, &order))
+    Ok(build_ordered(db, chain, &links, &order, false))
 }
 
-/// True when every node of the chain has derivable arity (flattening will
-/// succeed without consuming the plan first).
-fn flatten_ok(db: &Database, plan: &Plan) -> bool {
+/// `Some(left_deep)` for an inner-join chain whose every leaf has
+/// derivable names (flattening will then succeed without consuming the
+/// plan first), `None` otherwise.
+fn chain_shape(db: &Database, plan: &Plan) -> Option<bool> {
     match plan {
         Plan::Join {
             join_type: JoinType::Inner,
             left,
             right,
             ..
-        } => flatten_ok(db, left) && flatten_ok(db, right),
-        leaf => plan_arity_cat(db, leaf, 0).is_some(),
+        } => {
+            let left_deep = chain_shape(db, left)?;
+            let right_leaf = chain_shape(db, right)? && !is_inner_join(right);
+            Some(left_deep && right_leaf)
+        }
+        leaf => names_known(db, leaf).then_some(true),
     }
+}
+
+fn is_inner_join(plan: &Plan) -> bool {
+    matches!(
+        plan,
+        Plan::Join {
+            join_type: JoinType::Inner,
+            ..
+        }
+    )
 }
 
 /// Flatten `plan` into `chain`, assigning global column offsets in-order.
@@ -677,15 +812,6 @@ fn flatten(db: &Database, plan: Plan, chain: &mut Chain) {
             right_keys,
             ..
         } => {
-            if matches!(
-                right.as_ref(),
-                Plan::Join {
-                    join_type: JoinType::Inner,
-                    ..
-                }
-            ) {
-                chain.left_deep = false;
-            }
             let left_base = chain.total;
             flatten(db, *left, chain);
             let right_base = chain.total;
@@ -695,7 +821,7 @@ fn flatten(db: &Database, plan: Plan, chain: &mut Chain) {
             }
         }
         leaf => {
-            let arity = plan_arity_cat(db, &leaf, 0).expect("checked by flatten_ok");
+            let arity = plan_arity_cat(db, &leaf).expect("checked by chain_shape");
             chain.offsets.push(chain.total);
             chain.arities.push(arity);
             chain.leaves.push(reorder_joins(db, leaf));
@@ -704,58 +830,33 @@ fn flatten(db: &Database, plan: Plan, chain: &mut Chain) {
     }
 }
 
-/// Key pairs `(global col in placed set, global col in leaf j)` for the
-/// predicates connecting `j` to the placed leaves.
-fn connecting_keys(chain: &Chain, placed: &[usize], j: usize) -> Vec<(usize, usize)> {
-    let mut keys = Vec::new();
-    for &(a, b) in &chain.preds {
-        let (la, lb) = (chain.leaf_of(a), chain.leaf_of(b));
-        if la == j && placed.contains(&lb) {
-            keys.push((b, a));
-        } else if lb == j && placed.contains(&la) {
-            keys.push((a, b));
-        }
-    }
-    keys.sort_unstable();
-    keys.dedup();
-    keys
-}
-
-/// NDV of the leaf-local column behind global column `g`.
-fn leaf_global_ndv(db: &Database, chain: &Chain, g: usize) -> Option<f64> {
-    let l = chain.leaf_of(g);
-    col_ndv(db, &chain.leaves[l], g - chain.offsets[l], 0)
-}
-
 /// Rebuild the chain in its original order (used on bail-out after the
 /// plan was already consumed by flattening). A left-deep original is
 /// reproduced structurally (no projection needed); a right-deep/bushy
 /// original gets the restoring projection, because a left-deep identity
 /// rebuild would re-associate the joins and `join_names` duplicate
 /// disambiguation is not associative.
-fn rebuild_original(chain: Chain, names: Vec<String>) -> Plan {
-    let n = chain.leaves.len();
-    let order: Vec<usize> = (0..n).collect();
+fn rebuild_original(db: &Database, chain: Chain, links: &[Vec<Link>]) -> Plan {
+    let order: Vec<usize> = (0..chain.leaves.len()).collect();
     let skip_projection = chain.left_deep;
-    build_ordered_inner(chain, names, &order, skip_projection)
+    build_ordered(db, chain, links, &order, skip_projection)
 }
 
-/// Rebuild the chain joining leaves in `order`, then restore the original
-/// column order (and executor-visible names) with a projection.
-fn build_ordered(chain: Chain, names: Vec<String>, order: &[usize]) -> Plan {
-    build_ordered_inner(chain, names, order, false)
-}
-
-fn build_ordered_inner(
+/// Rebuild the chain joining leaves in `order`, then (unless
+/// `skip_projection`) restore the original column order and
+/// executor-visible names with a projection.
+fn build_ordered(
+    db: &Database,
     mut chain: Chain,
-    names: Vec<String>,
+    links: &[Vec<Link>],
     order: &[usize],
     skip_projection: bool,
 ) -> Plan {
+    let names = (!skip_projection).then(|| chain.output_names(db));
     let total = chain.total;
     // colmap[g] = current output position of original global column g.
     let mut colmap: Vec<Option<usize>> = vec![None; total];
-    let mut placed: Vec<usize> = Vec::with_capacity(order.len());
+    let mut placed = vec![false; chain.leaves.len()];
     let mut acc: Option<Plan> = None;
     let mut acc_arity = 0usize;
     let mut leaf_slots: Vec<Option<Plan>> = chain.leaves.drain(..).map(Some).collect();
@@ -771,12 +872,14 @@ fn build_ordered_inner(
                 acc_arity = ar;
             }
             Some(a) => {
-                let mut left_keys = Vec::new();
-                let mut right_keys = Vec::new();
-                for (gs, gj) in connecting_keys(&chain, &placed, l) {
-                    left_keys.push(colmap[gs].expect("placed column has a position"));
-                    right_keys.push(gj - off);
-                }
+                let (left_keys, right_keys) = links[l]
+                    .iter()
+                    .filter(|k| placed[k.other])
+                    .map(|k| {
+                        let pos = colmap[k.from].expect("placed column has a position");
+                        (pos, k.to - off)
+                    })
+                    .unzip();
                 for (g, slot) in colmap.iter_mut().enumerate().skip(off).take(ar) {
                     *slot = Some(acc_arity + (g - off));
                 }
@@ -791,14 +894,14 @@ fn build_ordered_inner(
                 acc_arity += ar;
             }
         }
-        placed.push(l);
+        placed[l] = true;
     }
     let joined = acc.expect("chain has at least one leaf");
-    if skip_projection {
+    let Some(names) = names else {
         // Left-deep identity rebuild: positions are already 0..total and
         // the structure matches the original; no projection needed.
         return joined;
-    }
+    };
     let exprs: Vec<Expr> = (0..total)
         .map(|g| Expr::Col(colmap[g].expect("every column placed")))
         .collect();
@@ -814,80 +917,43 @@ fn build_ordered_inner(
 // ---------------------------------------------------------------------------
 
 /// Set each hash join's build side to its (estimated) smaller input.
-fn pick_build_sides(db: &Database, plan: Plan) -> Plan {
-    match plan {
+fn pick_build_sides(db: &Database, mut plan: Plan) -> Plan {
+    pick_build_sides_in(db, &mut plan);
+    plan
+}
+
+/// [`pick_build_sides`] in place, returning `plan`'s [`Card`]: one
+/// bottom-up pass, so each join compares its inputs' cards without
+/// re-estimating their subtrees.
+fn pick_build_sides_in<'a>(db: &'a Database, plan: &mut Plan) -> Card<'a> {
+    let inputs = match plan {
+        Plan::Scan { .. } | Plan::Values { .. } | Plan::IndexLookup { .. } => Vec::new(),
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Distinct { input }
+        | Plan::Aggregate { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::Limit { input, .. } => vec![pick_build_sides_in(db, input)],
         Plan::Join {
-            left,
-            right,
-            join_type,
-            left_keys,
-            right_keys,
-            build,
+            left, right, build, ..
         } => {
-            let left = Box::new(pick_build_sides(db, *left));
-            let right = Box::new(pick_build_sides(db, *right));
-            let build = if build == BuildSide::Auto {
-                if estimate_rows(db, &left) < estimate_rows(db, &right) {
+            let l = pick_build_sides_in(db, left);
+            let r = pick_build_sides_in(db, right);
+            if *build == BuildSide::Auto {
+                *build = if whole_rows(l.rows) < whole_rows(r.rows) {
                     BuildSide::Left
                 } else {
                     BuildSide::Right
-                }
-            } else {
-                build
-            };
-            Plan::Join {
-                left,
-                right,
-                join_type,
-                left_keys,
-                right_keys,
-                build,
+                };
             }
+            vec![l, r]
         }
-        Plan::Filter { input, predicate } => Plan::Filter {
-            input: Box::new(pick_build_sides(db, *input)),
-            predicate,
-        },
-        Plan::Project {
-            input,
-            exprs,
-            names,
-        } => Plan::Project {
-            input: Box::new(pick_build_sides(db, *input)),
-            exprs,
-            names,
-        },
-        Plan::Union { inputs, distinct } => Plan::Union {
-            inputs: inputs
-                .into_iter()
-                .map(|p| pick_build_sides(db, p))
-                .collect(),
-            distinct,
-        },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(pick_build_sides(db, *input)),
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            having,
-        } => Plan::Aggregate {
-            input: Box::new(pick_build_sides(db, *input)),
-            group_by,
-            aggs,
-            having,
-        },
-        Plan::Sort { input, by } => Plan::Sort {
-            input: Box::new(pick_build_sides(db, *input)),
-            by,
-        },
-        Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(pick_build_sides(db, *input)),
-            n,
-        },
-        leaf => leaf,
-    }
+        Plan::Union { inputs, .. } => inputs
+            .iter_mut()
+            .map(|p| pick_build_sides_in(db, p))
+            .collect(),
+    };
+    derive_card(db, plan, inputs, 0)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 //! End-to-end observability properties: span trees emitted by traced
 //! query execution are well-formed across every executor × parallelism
 //! combination on randomized instances, `EXPLAIN ANALYZE` actuals agree
-//! exactly with digest-checked result sizes, and a pipelined binary
-//! batch reconstructs as a single trace retrievable over the `TRACE`
-//! wire verb.
+//! exactly with digest-checked result sizes, a traced prepare splits
+//! its time by phase, and a pipelined binary batch reconstructs as a
+//! single trace retrievable over the `TRACE` wire verb.
 //!
 //! These tests only ever *enable* tracing (never disable it), so they
 //! are safe under the parallel test harness: each asserts exclusively
@@ -103,6 +103,42 @@ fn span_trees_are_well_formed_across_executors_and_parallelism() {
             }
         }
     }
+}
+
+/// A traced prepare carries its time split by phase as fields of the one
+/// `prepare` span: translate, and compile and optimize summed over the
+/// unfolded rules. The phases run inside the span, one after another, so
+/// together they fit in its duration.
+#[test]
+fn prepare_span_splits_time_by_phase() {
+    trace::set_enabled(true);
+    let sys = build_system(Topology::Chain, &CdssConfig::all_data(4, 10)).unwrap();
+    let engine = Engine::new(sys);
+    let root = trace::span("test.prepare");
+    let trace_id = root.trace_id().expect("tracing is enabled");
+    engine.prepare(target_query()).unwrap();
+    drop(root);
+    let spans = trace::spans_for_trace(trace_id);
+    let prepare = spans
+        .iter()
+        .find(|s| s.name == "prepare")
+        .expect("prepare records a span");
+    let field = |key: &str| -> u128 {
+        let v = prepare
+            .fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .unwrap_or_else(|| panic!("prepare span lacks {key}"));
+        v.1.parse()
+            .unwrap_or_else(|_| panic!("{key} = {:?} is not a count", v.1))
+    };
+    let phases_us = field("translate_us") + field("compile_us") + field("optimize_us");
+    let span_us = u128::from(prepare.end_ns - prepare.start_ns) / 1000;
+    assert!(
+        phases_us <= span_us,
+        "phases take {phases_us} us of a {span_us} us span"
+    );
+    assert!(field("rules") > 0);
 }
 
 /// `EXPLAIN ANALYZE` actuals agree exactly with the result sizes of a

@@ -9,7 +9,9 @@
 //! setting; the result multiset and the output schema must match
 //! exactly. The sweep also checks that the join-reordering pass actually
 //! fires (at least one plan in the run is restructured) so the property
-//! is not vacuously true.
+//! is not vacuously true. Wide rounds add chains of up to 12 leaves in
+//! left-deep, right-deep and bushy shapes, over `Project(Scan)` views and
+//! colliding column names.
 
 use proql_common::rng::SplitMix64;
 use proql_common::{tup, Parallelism, Schema, Tuple, Value, ValueType};
@@ -133,9 +135,10 @@ fn random_plan(rng: &mut SplitMix64) -> Plan {
     plan
 }
 
-#[test]
-fn no_pass_configuration_ever_changes_results() {
-    let mut rng = SplitMix64::seed_from_u64(0x0071_817E_5EED);
+/// Check `plan` against its unoptimized oracle under every pass
+/// configuration × executor × parallelism setting; returns how many of
+/// the optimized variants were restructured.
+fn check_every_config(db: &Database, plan: &Plan, round: usize) -> usize {
     let configs = [
         OptimizerConfig::default(),
         OptimizerConfig::without(Pass::ReorderJoins),
@@ -149,58 +152,229 @@ fn no_pass_configuration_ever_changes_results() {
             passes: vec![Pass::ReorderJoins, Pass::ReorderJoins],
         },
     ];
+    // Oracle: the unoptimized plan under the row executor.
+    let want = match execute(db, plan) {
+        Ok(rel) => rel,
+        // Randomized plans may be malformed (e.g. key vs arity);
+        // every optimized variant must then fail too, not panic.
+        Err(_) => {
+            for cfg in &configs {
+                let opt = optimize_with_config(db, plan.clone(), cfg);
+                assert!(
+                    execute(db, &opt).is_err(),
+                    "round {round}: optimizer resurrected a failing plan"
+                );
+            }
+            return 0;
+        }
+    };
+    let catalog_free = optimize(plan.clone());
+    assert_eq!(
+        execute(db, &catalog_free).unwrap().sorted_rows(),
+        want.sorted_rows(),
+        "round {round}: catalog-free optimize changed results"
+    );
+    let mut reordered_plans = 0;
+    for cfg in &configs {
+        let opt = optimize_with_config(db, plan.clone(), cfg);
+        if opt.count_joins() > 0 && format!("{opt:?}") != format!("{:?}", plan) {
+            reordered_plans += 1;
+        }
+        for mode in [ExecMode::Batch, ExecMode::Row, ExecMode::NestedLoop] {
+            for par in [Parallelism::Serial, Parallelism::Threads(4)] {
+                let got = execute_with_opts(db, &opt, mode, par).unwrap_or_else(|e| {
+                    panic!("round {round} cfg {cfg:?} mode {mode:?} par {par:?}: {e}")
+                });
+                assert_eq!(
+                    got.names, want.names,
+                    "round {round} cfg {cfg:?} mode {mode:?}: schema changed"
+                );
+                assert_eq!(
+                    got.sorted_rows(),
+                    want.sorted_rows(),
+                    "round {round} cfg {cfg:?} mode {mode:?} par {par:?}: rows changed"
+                );
+            }
+        }
+    }
+    reordered_plans
+}
+
+#[test]
+fn no_pass_configuration_ever_changes_results() {
+    let mut rng = SplitMix64::seed_from_u64(0x0071_817E_5EED);
     let mut reordered_plans = 0usize;
     for round in 0..40 {
         let db = random_db(&mut rng);
         let plan = random_plan(&mut rng);
-        // Oracle: the unoptimized plan under the row executor.
-        let want = match execute(&db, &plan) {
-            Ok(rel) => rel,
-            // Randomized plans may be malformed (e.g. key vs arity);
-            // every optimized variant must then fail too, not panic.
-            Err(_) => {
-                for cfg in &configs {
-                    let opt = optimize_with_config(&db, plan.clone(), cfg);
-                    assert!(
-                        execute(&db, &opt).is_err(),
-                        "round {round}: optimizer resurrected a failing plan"
-                    );
-                }
-                continue;
-            }
-        };
-        let catalog_free = optimize(plan.clone());
-        assert_eq!(
-            execute(&db, &catalog_free).unwrap().sorted_rows(),
-            want.sorted_rows(),
-            "round {round}: catalog-free optimize changed results"
-        );
-        for cfg in &configs {
-            let opt = optimize_with_config(&db, plan.clone(), cfg);
-            if opt.count_joins() > 0 && format!("{opt:?}") != format!("{:?}", plan) {
-                reordered_plans += 1;
-            }
-            for mode in [ExecMode::Batch, ExecMode::Row, ExecMode::NestedLoop] {
-                for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-                    let got = execute_with_opts(&db, &opt, mode, par).unwrap_or_else(|e| {
-                        panic!("round {round} cfg {cfg:?} mode {mode:?} par {par:?}: {e}")
-                    });
-                    assert_eq!(
-                        got.names, want.names,
-                        "round {round} cfg {cfg:?} mode {mode:?}: schema changed"
-                    );
-                    assert_eq!(
-                        got.sorted_rows(),
-                        want.sorted_rows(),
-                        "round {round} cfg {cfg:?} mode {mode:?} par {par:?}: rows changed"
-                    );
-                }
-            }
-        }
+        reordered_plans += check_every_config(&db, &plan, round);
     }
     assert!(
         reordered_plans > 0,
         "the sweep never restructured a plan — the property is vacuous"
+    );
+}
+
+/// Base tables of the wide rounds. Every relation names its columns
+/// `k, v`, so any join of two collides and the executors disambiguate
+/// (`k_1`, `v_1`, …) — the naming a reordering projection must restore.
+const WIDE_TABLES: [&str; 4] = ["A", "B", "C", "D"];
+
+/// `Project(Scan)` views over the wide tables, like the superfluous
+/// provenance relations unfolding emits: `(name, base table, arity)`.
+/// Column 0 stays the base table's unique `k`.
+const WIDE_VIEWS: [(&str, &str, usize); 2] = [("VA", "A", 2), ("VB", "B", 1)];
+
+/// Tables with a unique key column `k` (0..n, n random) and a skewed
+/// `v`, plus the [`WIDE_VIEWS`].
+fn wide_db(rng: &mut SplitMix64) -> Database {
+    let mut db = Database::new();
+    let kv = [("k", ValueType::Int), ("v", ValueType::Int)];
+    for name in WIDE_TABLES {
+        db.create_table(Schema::build(name, &kv, &[0]).unwrap())
+            .unwrap();
+        let rows = rng.gen_range_i64(5, 30);
+        let skew = rng.gen_range_i64(1, 8);
+        for k in 0..rows {
+            db.insert(name, tup![k, rng.gen_range_i64(0, skew)])
+                .unwrap();
+        }
+        if rng.gen_range_usize(0, 2) == 0 {
+            db.table_mut(name)
+                .unwrap()
+                .create_index("ix", vec![1], IndexKind::Hash)
+                .unwrap();
+        }
+    }
+    for (view, table, arity) in WIDE_VIEWS {
+        let exprs = (0..arity).map(Expr::col).collect();
+        let names: Vec<String> = kv[..arity].iter().map(|(n, _)| n.to_string()).collect();
+        let schema = Schema::build(view, &kv[..arity], &[]).unwrap();
+        db.create_view(view, Plan::scan(table).project_named(exprs, names), schema)
+            .unwrap();
+    }
+    db
+}
+
+/// Join-tree shapes of the wide rounds.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    LeftDeep,
+    RightDeep,
+    Bushy,
+}
+
+/// A subplan of the wide rounds: the plan, its arity and the positions
+/// of its leaves' unique `k` columns.
+type Sub = (Plan, usize, Vec<usize>);
+
+/// A random inner-join tree over `leaves` in `shape`. Each join keys a
+/// column of its left input — mostly some leaf's `k` — to column 0 of its
+/// right input, which stays unique there (by induction from the unique
+/// `k` leaves), so no intermediate outgrows its left input; a second key
+/// pair sometimes filters further.
+fn join_tree(rng: &mut SplitMix64, shape: Shape, leaves: &mut Vec<Sub>) -> Sub {
+    if leaves.len() == 1 {
+        return leaves.pop().unwrap();
+    }
+    let split = match shape {
+        Shape::LeftDeep => leaves.len() - 1,
+        Shape::RightDeep => 1,
+        Shape::Bushy => rng.gen_range_usize(1, leaves.len()),
+    };
+    let mut right_leaves = leaves.split_off(split);
+    let (left, la, mut ks) = join_tree(rng, shape, leaves);
+    let (right, ra, right_ks) = join_tree(rng, shape, &mut right_leaves);
+    let mut left_keys = vec![if rng.gen_range_usize(0, 4) == 0 {
+        rng.gen_range_usize(0, la)
+    } else {
+        ks[rng.gen_range_usize(0, ks.len())]
+    }];
+    let mut right_keys = vec![0];
+    if rng.gen_range_usize(0, 5) == 0 {
+        left_keys.push(rng.gen_range_usize(0, la));
+        right_keys.push(rng.gen_range_usize(0, ra));
+    }
+    ks.extend(right_ks.into_iter().map(|k| la + k));
+    (left.join(right, left_keys, right_keys), la + ra, ks)
+}
+
+/// A chain of 3–12 leaves in a random shape, at least one of them a
+/// view, with filters sprinkled on leaves and sometimes on top.
+fn wide_plan(rng: &mut SplitMix64) -> (Plan, Shape) {
+    let n = rng.gen_range_usize(3, 13);
+    let view_at = rng.gen_range_usize(0, n);
+    let le = |rng: &mut SplitMix64, arity: usize| {
+        Expr::cmp(
+            proql_storage::BinOp::Le,
+            Expr::col(rng.gen_range_usize(0, arity)),
+            Expr::lit(rng.gen_range_i64(2, 30)),
+        )
+    };
+    let mut leaves: Vec<Sub> = (0..n)
+        .map(|i| {
+            let (mut p, arity) = if i == view_at || rng.gen_range_usize(0, 4) == 0 {
+                let (view, _, arity) = WIDE_VIEWS[rng.gen_range_usize(0, WIDE_VIEWS.len())];
+                (Plan::scan(view), arity)
+            } else {
+                (Plan::scan(WIDE_TABLES[rng.gen_range_usize(0, 4)]), 2)
+            };
+            // Equality filters become index lookups, on views too.
+            match rng.gen_range_usize(0, 8) {
+                0 => p = p.filter(le(rng, arity)),
+                1 if arity == 2 => p = p.filter(Expr::col(1).eq(Expr::lit(0))),
+                _ => {}
+            }
+            (p, arity, vec![0])
+        })
+        .collect();
+    let shape = [Shape::LeftDeep, Shape::RightDeep, Shape::Bushy][rng.gen_range_usize(0, 3)];
+    let (mut plan, arity, _) = join_tree(rng, shape, &mut leaves);
+    if rng.gen_range_usize(0, 3) == 0 {
+        plan = plan.filter(le(rng, arity));
+    }
+    (plan, shape)
+}
+
+/// The relations `plan` reads, left to right.
+fn scan_order(plan: &Plan, out: &mut Vec<String>) {
+    match plan {
+        Plan::Scan { table } | Plan::IndexLookup { table, .. } => out.push(table.clone()),
+        Plan::Join { left, right, .. } => {
+            scan_order(left, out);
+            scan_order(right, out);
+        }
+        Plan::Filter { input, .. } | Plan::Project { input, .. } => scan_order(input, out),
+        other => panic!("wide plans hold no {other:?}"),
+    }
+}
+
+/// Wide rounds: chains of up to 12 leaves, left-deep, right-deep and
+/// bushy, over view leaves and colliding column names — the shapes where
+/// the reorder pass derives names lazily (left-deep) or up front
+/// (right-deep/bushy) and memoizes its greedy inputs per chain.
+#[test]
+fn wide_chains_with_views_and_colliding_names_keep_results() {
+    let mut rng = SplitMix64::seed_from_u64(0x0071_817E_3A1D);
+    let reorder_only = OptimizerConfig {
+        passes: vec![Pass::ReorderJoins],
+    };
+    // Plans per shape whose leaves the greedy actually put in a new order.
+    let mut reordered = [0usize; 3];
+    for round in 0..48 {
+        let db = wide_db(&mut rng);
+        let (plan, shape) = wide_plan(&mut rng);
+        check_every_config(&db, &plan, round);
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        scan_order(&plan, &mut before);
+        scan_order(&optimize_with_config(&db, plan, &reorder_only), &mut after);
+        if before != after {
+            reordered[shape as usize] += 1;
+        }
+    }
+    assert!(
+        reordered.iter().all(|&n| n > 0),
+        "some shape was never reordered ({reordered:?}) — the property is vacuous"
     );
 }
 
