@@ -22,7 +22,7 @@ use proql_bench::{banner, json_output, scaled};
 use proql_common::{tup, Schema, Tuple, Value, ValueType};
 use proql_provgraph::encode::wire::encode_snapshot_parts;
 use proql_storage::optimize::optimize_with;
-use proql_storage::{execute_batch, Database, Expr, Plan};
+use proql_storage::{execute_batch, Database, Expr, Parallelism, Plan};
 use std::time::Instant;
 
 /// Strings in the shape provenance names take: a long shared prefix plus a
@@ -92,7 +92,7 @@ fn time_plan(db: &Database, p: &Plan) -> (f64, Vec<Tuple>) {
     let mut rows = Vec::new();
     for _ in 0..5 {
         let t0 = Instant::now();
-        let batch = execute_batch(db, p).expect("plan executes");
+        let batch = execute_batch(db, p, Parallelism::Serial, None).expect("plan executes");
         best = best.min(t0.elapsed().as_secs_f64());
         rows = batch.to_rows();
     }

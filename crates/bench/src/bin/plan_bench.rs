@@ -24,7 +24,7 @@ use proql_common::{tup, Schema, ValueType};
 use proql_service::proto::result_digest;
 use proql_service::ServiceCore;
 use proql_storage::optimize::{optimize_with, optimize_with_config, OptimizerConfig, Pass};
-use proql_storage::{execute_batch, AggFunc, Aggregate, Database, Expr, Plan};
+use proql_storage::{execute_batch, AggFunc, Aggregate, Database, Expr, Parallelism, Plan};
 use std::time::Instant;
 
 fn main() {
@@ -93,7 +93,7 @@ fn main() {
         let mut rows = Vec::new();
         for _ in 0..3 {
             let t0 = Instant::now();
-            let batch = execute_batch(&db, p).expect("plan executes");
+            let batch = execute_batch(&db, p, Parallelism::Serial, None).expect("plan executes");
             best = best.min(t0.elapsed().as_secs_f64());
             rows = batch.to_rows();
         }

@@ -20,7 +20,7 @@ use proql_provgraph::{ProvGraph, TupleNode};
 use proql_semiring::eval::leaf_label;
 use proql_semiring::{Annotation, MapFn, SecurityLevel, SemiringKind};
 use proql_storage::batch::{Column, RecordBatch};
-use proql_storage::batch_exec::batch_aggregate_opts;
+use proql_storage::batch_exec::batch_aggregate;
 use proql_storage::{AggFunc, Aggregate};
 use std::collections::HashMap;
 
@@ -176,7 +176,7 @@ pub fn evaluate_via_aggregation(
             vec![Column::Int(targets), Column::from_value_vec(deriv_vals)],
             rows,
         );
-        let summed = batch_aggregate_opts(
+        let summed = batch_aggregate(
             &batch,
             &[0],
             &[Aggregate::new((enc.agg)(1), "sum")],

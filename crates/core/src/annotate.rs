@@ -44,17 +44,9 @@ impl AnnotatedResult {
     }
 }
 
-/// Run the annotation computation over a projection result.
-pub fn run_annotation(
-    sys: &ProvenanceSystem,
-    projection: &ProjectionResult,
-    spec: &Evaluate,
-) -> Result<AnnotatedResult> {
-    run_annotation_opts(sys, projection, spec, Parallelism::Serial)
-}
-
-/// [`run_annotation`] with a [`Parallelism`] knob, forwarded to the
-/// grouped-aggregation ⊕ path and to the level-parallel graph walk.
+/// Run the annotation computation over a projection result. `par` is
+/// forwarded to the grouped-aggregation ⊕ path and to the level-parallel
+/// graph walk.
 pub fn run_annotation_opts(
     sys: &ProvenanceSystem,
     projection: &ProjectionResult,
@@ -376,12 +368,31 @@ mod tests {
     use proql_common::tup;
     use proql_provgraph::system::example_2_1;
 
+    /// Run the unfolded rules of `t` serially on the batch executor.
+    fn project(sys: &ProvenanceSystem, t: &crate::translate::Translation) -> ProjectionResult {
+        let rules = crate::exec::prepare_rules(sys, t).unwrap();
+        crate::exec::run_projection_prepared(
+            sys,
+            t,
+            &rules,
+            proql_storage::ExecMode::Batch,
+            Parallelism::Serial,
+        )
+        .unwrap()
+    }
+
     fn annotate(q: &str) -> AnnotatedResult {
         let sys = example_2_1().unwrap();
         let query = parse_query(q).unwrap();
         let t = translate(&sys, &query, None, &TranslateOptions::default()).unwrap();
-        let proj = crate::exec::run_projection(&sys, &t).unwrap();
-        run_annotation(&sys, &proj, query.evaluate.as_ref().unwrap()).unwrap()
+        let proj = project(&sys, &t);
+        run_annotation_opts(
+            &sys,
+            &proj,
+            query.evaluate.as_ref().unwrap(),
+            Parallelism::Serial,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -541,7 +552,13 @@ mod tests {
         )
         .unwrap();
         let t = translate(&sys, &query, None, &TranslateOptions::default()).unwrap();
-        let proj = crate::exec::run_projection(&sys, &t).unwrap();
-        assert!(run_annotation(&sys, &proj, query.evaluate.as_ref().unwrap()).is_err());
+        let proj = project(&sys, &t);
+        assert!(run_annotation_opts(
+            &sys,
+            &proj,
+            query.evaluate.as_ref().unwrap(),
+            Parallelism::Serial
+        )
+        .is_err());
     }
 }

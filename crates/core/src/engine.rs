@@ -13,18 +13,14 @@
 use crate::annotate::{run_annotation_opts, AnnotatedResult};
 use crate::ast::Query;
 use crate::exec::{
-    prepare_rule, run_projection_graph, run_projection_prepared, run_projection_prepared_profiled,
-    PrepareTimes, PreparedRule, ProjectionResult,
+    prepare_rule, run_prepared_rules, run_projection_graph, PrepareTimes, PreparedRule,
+    ProjectionResult,
 };
 use crate::parser::parse_query;
 use crate::translate::{translate, BodyRewriter, TranslateOptions, TranslateStats, Translation};
 use proql_common::{trace, Parallelism, Result};
 use proql_provgraph::{ProvGraph, ProvenanceSystem};
-use proql_storage::{
-    explain::{explain_tree, explain_tree_analyzed},
-    optimize::estimate_rows,
-    ExecMode, OpStat,
-};
+use proql_storage::{explain::explain_tree, optimize::estimate_rows, ExecMode, OpStat};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -409,8 +405,15 @@ impl Engine {
     }
 
     /// Execute a prepared query. `EXPLAIN` queries render the chosen
-    /// plans instead of running them; `EXPLAIN ANALYZE` executes for real
-    /// and annotates the plans with actual rows and timings.
+    /// plans instead of running them.
+    ///
+    /// `EXPLAIN ANALYZE` executes for real — rules run serially under the
+    /// profiled batch executor — then renders the plan trees annotated with
+    /// actual per-operator rows and inclusive wall times next to the
+    /// optimizer's estimates. The reported totals come from the very
+    /// projection that was executed, so they match a plain run of the same
+    /// query exactly; the projection itself is withheld from the output
+    /// (like `EXPLAIN`, the plan text *is* the result).
     pub fn execute(&self, p: &PreparedQuery) -> Result<QueryOutput> {
         let mut stats = QueryStats {
             unfold_time: p.prepare_time,
@@ -419,35 +422,37 @@ impl Engine {
         if let Some(u) = &p.unfold {
             stats.translate = u.translation.stats.clone();
         }
-        if p.query.explain {
-            if p.query.analyze {
-                return self.execute_analyze(p, stats);
-            }
+        if p.query.explain && !p.query.analyze {
             return Ok(QueryOutput {
                 projection: ProjectionResult::default(),
                 annotated: None,
                 stats,
                 touched: p.touched.clone(),
-                plan: Some(self.render_plan(p)),
+                plan: Some(self.render_plan(p, None)),
             });
         }
         let mut sp = trace::span("execute");
-        let projection = match (&p.unfold, p.strategy) {
-            (Some(u), _) => {
+        if p.query.analyze {
+            sp.field("analyze", "true");
+        }
+        let mut per_rule = Vec::new();
+        let projection = match &p.unfold {
+            Some(u) => {
                 let t1 = Instant::now();
-                let proj = run_projection_prepared(
+                let proj = run_prepared_rules(
                     &self.sys,
                     &u.translation,
                     &u.rules,
                     self.options.exec_mode,
                     self.options.parallelism,
+                    p.query.analyze.then_some(&mut per_rule),
                 )?;
                 stats.eval_time = t1.elapsed();
                 stats.total_joins = proj.metrics.total_joins;
                 stats.sql_bytes = proj.metrics.sql_bytes;
                 proj
             }
-            (None, _) => {
+            None => {
                 let graph = self.graph()?;
                 let t1 = Instant::now();
                 let proj = run_projection_graph(&self.sys, &graph, &p.query)?;
@@ -458,6 +463,16 @@ impl Engine {
         sp.field("strategy", format!("{:?}", p.strategy));
         sp.field("rows", projection.metrics.rows.to_string());
         sp.field("bindings", projection.bindings.len().to_string());
+        if p.query.analyze {
+            let plan = self.render_plan(p, Some((&per_rule, &projection, stats.eval_time)));
+            return Ok(QueryOutput {
+                projection: ProjectionResult::default(),
+                annotated: None,
+                stats,
+                touched: p.touched.clone(),
+                plan: Some(plan),
+            });
+        }
         let annotated = match &p.query.evaluate {
             Some(spec) => Some(run_annotation_opts(
                 &self.sys,
@@ -476,54 +491,21 @@ impl Engine {
         })
     }
 
-    /// The `EXPLAIN ANALYZE` path: execute the query for real (rules run
-    /// serially under the profiled batch executor), then render the plan
-    /// trees annotated with actual per-operator rows and inclusive wall
-    /// times next to the optimizer's estimates. The reported totals come
-    /// from the very projection that was executed, so they match a plain
-    /// run of the same query exactly; the projection itself is withheld
-    /// from the output (like `EXPLAIN`, the plan text *is* the result).
-    fn execute_analyze(&self, p: &PreparedQuery, mut stats: QueryStats) -> Result<QueryOutput> {
-        let mut sp = trace::span("execute");
-        sp.field("analyze", "true");
-        let t1 = Instant::now();
-        let (projection, per_rule) = match &p.unfold {
-            Some(u) => {
-                let (proj, per_rule) = run_projection_prepared_profiled(
-                    &self.sys,
-                    &u.translation,
-                    &u.rules,
-                    self.options.exec_mode,
-                    self.options.parallelism,
-                )?;
-                (proj, Some(per_rule))
-            }
-            None => {
-                let graph = self.graph()?;
-                (run_projection_graph(&self.sys, &graph, &p.query)?, None)
-            }
-        };
-        let exec_time = t1.elapsed();
-        stats.eval_time = exec_time;
-        stats.total_joins = projection.metrics.total_joins;
-        stats.sql_bytes = projection.metrics.sql_bytes;
-        sp.field("rows", projection.metrics.rows.to_string());
-        sp.field("bindings", projection.bindings.len().to_string());
-        let plan = self.render_plan_analyzed(p, per_rule.as_deref(), &projection, exec_time);
-        Ok(QueryOutput {
-            projection: ProjectionResult::default(),
-            annotated: None,
-            stats,
-            touched: p.touched.clone(),
-            plan: Some(plan),
-        })
-    }
-
     /// Render a prepared query's plans: the strategy, each unfolded
     /// rule's operator tree with the optimizer's estimated rows per
     /// operator, and the read set. Large unions show the first few rules.
-    fn render_plan(&self, p: &PreparedQuery) -> String {
+    ///
+    /// `actuals` are an analyze run's per-rule operator stats, projection
+    /// and execution time: every profiled operator line then carries
+    /// `actual <rows> rows in <ms>` next to the estimate, and a final
+    /// `actual:` footer reports the executed result sizes and wall time.
+    fn render_plan(
+        &self,
+        p: &PreparedQuery,
+        actuals: Option<(&[Vec<OpStat>], &ProjectionResult, Duration)>,
+    ) -> String {
         const SHOWN_RULES: usize = 5;
+        let per_rule = actuals.map_or(&[][..], |(per_rule, ..)| per_rule);
         let mut out = String::new();
         match &p.unfold {
             Some(u) => {
@@ -538,7 +520,8 @@ impl Engine {
                         "rule {i}: ~{} rows",
                         estimate_rows(&self.sys.db, &rule.plan)
                     );
-                    out.push_str(&explain_tree(&self.sys.db, &rule.plan));
+                    let stats = per_rule.get(i).map_or(&[][..], Vec::as_slice);
+                    out.push_str(&explain_tree(&self.sys.db, &rule.plan, stats));
                 }
                 if u.rules.len() > SHOWN_RULES {
                     let _ = writeln!(out, "… {} more rules", u.rules.len() - SHOWN_RULES);
@@ -559,61 +542,15 @@ impl Engine {
             "prepared at: version {} (stats fingerprint {:x})",
             p.stats_version, p.stats_fingerprint
         );
-        out
-    }
-
-    /// Render plans annotated with the actuals of an analyze run: same
-    /// shape as [`Engine::render_plan`], but every operator line carries
-    /// `actual <rows> rows in <ms>` next to the estimate, and a final
-    /// `actual:` footer reports the executed result sizes and wall time.
-    fn render_plan_analyzed(
-        &self,
-        p: &PreparedQuery,
-        per_rule: Option<&[Vec<OpStat>]>,
-        projection: &ProjectionResult,
-        exec_time: Duration,
-    ) -> String {
-        const SHOWN_RULES: usize = 5;
-        let mut out = String::new();
-        match (&p.unfold, per_rule) {
-            (Some(u), Some(stats)) => {
-                let _ = writeln!(
-                    out,
-                    "strategy: unfold ({} rules, {} dropped statically)",
-                    u.translation.stats.rules, u.translation.stats.dropped
-                );
-                for (i, (rule, rstats)) in u.rules.iter().zip(stats).take(SHOWN_RULES).enumerate() {
-                    let _ = writeln!(
-                        out,
-                        "rule {i}: ~{} rows",
-                        estimate_rows(&self.sys.db, &rule.plan)
-                    );
-                    out.push_str(&explain_tree_analyzed(&self.sys.db, &rule.plan, rstats));
-                }
-                if u.rules.len() > SHOWN_RULES {
-                    let _ = writeln!(out, "… {} more rules", u.rules.len() - SHOWN_RULES);
-                }
-            }
-            _ => {
-                let _ = writeln!(
-                    out,
-                    "strategy: graph-walk over the materialized provenance graph"
-                );
-            }
+        if let Some((_, projection, exec_time)) = actuals {
+            let _ = writeln!(
+                out,
+                "actual: {} binding rows, {} derivation rows in {:.3} ms",
+                projection.bindings.len(),
+                projection.derivation_count(),
+                exec_time.as_secs_f64() * 1e3
+            );
         }
-        let _ = writeln!(out, "reads: {}", comma_join(&p.touched));
-        let _ = writeln!(
-            out,
-            "prepared at: version {} (stats fingerprint {:x})",
-            p.stats_version, p.stats_fingerprint
-        );
-        let _ = writeln!(
-            out,
-            "actual: {} binding rows, {} derivation rows in {:.3} ms",
-            projection.bindings.len(),
-            projection.derivation_count(),
-            exec_time.as_secs_f64() * 1e3
-        );
         out
     }
 

@@ -19,8 +19,7 @@ use proql_datalog::compile::compile_body;
 use proql_provgraph::{ProvGraph, ProvenanceSystem};
 use proql_storage::batch::{Column, RecordBatch};
 use proql_storage::{
-    execute_batch_opts, execute_batch_profiled, execute_with, explain, optimize::optimize_with,
-    Database, ExecMode, Expr, OpStat,
+    execute_batch, execute_with, explain, optimize::optimize_with, Database, ExecMode, Expr, OpStat,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -140,37 +139,6 @@ pub fn prepare_rules(
         .collect()
 }
 
-/// Execute the unfolded rules of a translation with the default (batch)
-/// executor.
-pub fn run_projection(
-    sys: &ProvenanceSystem,
-    translation: &Translation,
-) -> Result<ProjectionResult> {
-    run_projection_with(sys, translation, ExecMode::Batch)
-}
-
-/// Execute the unfolded rules of a translation under a chosen executor.
-pub fn run_projection_with(
-    sys: &ProvenanceSystem,
-    translation: &Translation,
-    mode: ExecMode,
-) -> Result<ProjectionResult> {
-    run_projection_opts(sys, translation, mode, Parallelism::Serial)
-}
-
-/// [`run_projection_with`] plus a [`Parallelism`] knob. Compiles and
-/// optimizes every rule, then runs them; callers that already hold
-/// prepared rules use [`run_projection_prepared`] to skip that step.
-pub fn run_projection_opts(
-    sys: &ProvenanceSystem,
-    translation: &Translation,
-    mode: ExecMode,
-    par: Parallelism,
-) -> Result<ProjectionResult> {
-    let prepared = prepare_rules(sys, translation)?;
-    run_projection_prepared(sys, translation, &prepared, mode, par)
-}
-
 /// Execute already-prepared rules.
 ///
 /// The unfolded rules of a translation are independent conjunctive
@@ -187,6 +155,22 @@ pub fn run_projection_prepared(
     mode: ExecMode,
     par: Parallelism,
 ) -> Result<ProjectionResult> {
+    run_prepared_rules(sys, translation, prepared, mode, par, None)
+}
+
+/// The body of [`run_projection_prepared`]. With `stats` — the `EXPLAIN
+/// ANALYZE` execution path — it also collects one per-operator stats
+/// vector per rule (see [`run_rule`]), aligned with `translation.rules`.
+/// Profiled rules run **serially**, since rule fan-out would overlap their
+/// wall times; `par` still drives morsel parallelism inside operators.
+pub(crate) fn run_prepared_rules(
+    sys: &ProvenanceSystem,
+    translation: &Translation,
+    prepared: &[PreparedRule],
+    mode: ExecMode,
+    par: Parallelism,
+    mut stats: Option<&mut Vec<Vec<OpStat>>>,
+) -> Result<ProjectionResult> {
     let par = par.resolved();
     let rules = &translation.rules;
     if rules.len() != prepared.len() {
@@ -196,7 +180,8 @@ pub fn run_projection_prepared(
             rules.len()
         )));
     }
-    if par.is_parallel() && rules.len() > 1 {
+    let mut out = ProjectionResult::default();
+    if stats.is_none() && par.is_parallel() && rules.len() > 1 {
         let partials = par_map(rules.len(), par.threads(), |i| {
             let mut partial = ProjectionResult::default();
             run_rule(
@@ -206,11 +191,11 @@ pub fn run_projection_prepared(
                 &translation.return_vars,
                 mode,
                 Parallelism::Serial,
+                None,
                 &mut partial,
             )
             .map(|()| partial)
         });
-        let mut out = ProjectionResult::default();
         for partial in partials {
             let partial = partial?;
             for (mapping, rows) in partial.derivations {
@@ -222,60 +207,25 @@ pub fn run_projection_prepared(
             out.metrics.sql_bytes += partial.metrics.sql_bytes;
             out.metrics.rows += partial.metrics.rows;
         }
-        Ok(out)
-    } else {
-        let mut out = ProjectionResult::default();
-        for (rule, prep) in rules.iter().zip(prepared) {
-            run_rule(
-                &sys.db,
-                rule,
-                prep,
-                &translation.return_vars,
-                mode,
-                par,
-                &mut out,
-            )?;
-        }
-        Ok(out)
+        return Ok(out);
     }
-}
-
-/// [`run_projection_prepared`] with per-operator actuals — the `EXPLAIN
-/// ANALYZE` execution path. Rules run **serially** (this is a measurement
-/// pass; rule fan-out would overlap their wall times), each under the
-/// profiled batch executor; `par` still drives morsel parallelism inside
-/// operators. Returns the projection result (identical to a plain run)
-/// plus one stats vector per rule, aligned with `translation.rules`.
-pub fn run_projection_prepared_profiled(
-    sys: &ProvenanceSystem,
-    translation: &Translation,
-    prepared: &[PreparedRule],
-    mode: ExecMode,
-    par: Parallelism,
-) -> Result<(ProjectionResult, Vec<Vec<OpStat>>)> {
-    let par = par.resolved();
-    let rules = &translation.rules;
-    if rules.len() != prepared.len() {
-        return Err(Error::Query(format!(
-            "prepared {} rules for a {}-rule translation",
-            prepared.len(),
-            rules.len()
-        )));
-    }
-    let mut out = ProjectionResult::default();
-    let mut per_rule = Vec::with_capacity(rules.len());
     for (rule, prep) in rules.iter().zip(prepared) {
-        per_rule.push(run_rule_profiled(
+        let mut rule_stats = Vec::new();
+        run_rule(
             &sys.db,
             rule,
             prep,
             &translation.return_vars,
             mode,
             par,
+            stats.is_some().then_some(&mut rule_stats),
             &mut out,
-        )?);
+        )?;
+        if let Some(stats) = stats.as_deref_mut() {
+            stats.push(rule_stats);
+        }
     }
-    Ok((out, per_rule))
+    Ok(out)
 }
 
 /// A resolved output term: either a constant or a reference into a batch
@@ -318,6 +268,10 @@ fn resolve_term<'a>(
 /// and bindings into `out`. Takes the database rather than the system so
 /// the incremental maintainer can run delta-seeded variants of a rule
 /// against scratch-augmented database clones.
+///
+/// With `stats`, the batch executor records the plan's per-operator
+/// actuals into it (see [`execute_batch`]); the row executors report no
+/// operator breakdown and leave it untouched.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_rule(
     db: &Database,
@@ -326,6 +280,7 @@ pub(crate) fn run_rule(
     return_vars: &[String],
     mode: ExecMode,
     par: Parallelism,
+    stats: Option<&mut Vec<OpStat>>,
     out: &mut ProjectionResult,
 ) -> Result<()> {
     let mut sp = trace::span("rule");
@@ -338,44 +293,14 @@ pub(crate) fn run_rule(
     // executors produce rows that are transposed once here; the batch
     // executor is columnar end to end.
     let batch = match mode {
-        ExecMode::Batch => execute_batch_opts(db, plan, par)?,
+        ExecMode::Batch => execute_batch(db, plan, par, stats)?,
         row_mode => {
-            let rel = execute_with(db, plan, row_mode)?;
+            let rel = execute_with(db, plan, row_mode, par)?;
             RecordBatch::from_rows(rel.names, rel.rows.iter())
         }
     };
     sp.field("rows", batch.len().to_string());
     merge_rule_batch(db, rule, prepared, return_vars, batch, out)
-}
-
-/// Profiled twin of [`run_rule`]: executes the rule's plan under
-/// [`execute_batch_profiled`] (the `EXPLAIN ANALYZE` backend) and returns
-/// the per-operator actuals alongside merging the result into `out`.
-/// Non-batch executors report no operator breakdown (empty stats).
-fn run_rule_profiled(
-    db: &Database,
-    rule: &QueryRule,
-    prepared: &PreparedRule,
-    return_vars: &[String],
-    mode: ExecMode,
-    par: Parallelism,
-    out: &mut ProjectionResult,
-) -> Result<Vec<OpStat>> {
-    let mut sp = trace::span("rule");
-    let plan = &prepared.plan;
-    out.metrics.rules_executed += 1;
-    out.metrics.total_joins += plan.count_joins();
-    out.metrics.sql_bytes += explain::sql_len(plan);
-    let (batch, stats) = match mode {
-        ExecMode::Batch => execute_batch_profiled(db, plan, par)?,
-        row_mode => {
-            let rel = execute_with(db, plan, row_mode)?;
-            (RecordBatch::from_rows(rel.names, rel.rows.iter()), vec![])
-        }
-    };
-    sp.field("rows", batch.len().to_string());
-    merge_rule_batch(db, rule, prepared, return_vars, batch, out)?;
-    Ok(stats)
 }
 
 /// Merge one rule's materialized result batch into the projection output:
@@ -630,7 +555,9 @@ mod tests {
             &TranslateOptions::default(),
         )
         .unwrap();
-        let r = run_projection(&sys, &t).unwrap();
+        let rules = prepare_rules(&sys, &t).unwrap();
+        let r = run_projection_prepared(&sys, &t, &rules, ExecMode::Batch, Parallelism::Serial)
+            .unwrap();
         (sys, r)
     }
 
@@ -690,7 +617,10 @@ mod tests {
         let full = ProvGraph::from_system(&sys).unwrap();
         let via_graph = run_projection_graph(&sys, &full, &q).unwrap();
         let t = translate(&sys, &q, None, &TranslateOptions::default()).unwrap();
-        let via_rules = run_projection(&sys, &t).unwrap();
+        let rules = prepare_rules(&sys, &t).unwrap();
+        let via_rules =
+            run_projection_prepared(&sys, &t, &rules, ExecMode::Batch, Parallelism::Serial)
+                .unwrap();
         assert_eq!(via_graph.bindings, via_rules.bindings);
         // The graph walk reaches every derivation backward-reachable from O.
         // The unfolded route cuts cyclic re-derivations (paper: acyclic

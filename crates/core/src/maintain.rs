@@ -368,6 +368,7 @@ fn run_delta_rules(
                 return_vars,
                 engine.options.exec_mode,
                 Parallelism::Serial,
+                None,
                 &mut out,
             )?;
         }
@@ -465,6 +466,7 @@ fn recheck_candidates(
             &unfold.translation.return_vars,
             new.options.exec_mode,
             Parallelism::Serial,
+            None,
             &mut out,
         )?;
     }

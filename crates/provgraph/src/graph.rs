@@ -30,7 +30,7 @@ use crate::system::ProvenanceSystem;
 use proql_common::TupleId;
 use proql_common::{DerivationId, Error, Result, Tuple, Value};
 use proql_storage::batch::RecordBatch;
-use proql_storage::{execute_batch, Plan};
+use proql_storage::{execute_batch, Parallelism, Plan};
 use std::collections::{HashMap, HashSet};
 
 /// Compressed-sparse-row adjacency with a sparse patch overlay.
@@ -570,7 +570,12 @@ impl ProvGraph {
     pub fn from_system(sys: &ProvenanceSystem) -> Result<ProvGraph> {
         let mut g = ProvGraph::new();
         for (rule, spec) in sys.program().rules.iter().zip(sys.specs()) {
-            let batch = execute_batch(&sys.db, &Plan::scan(spec.prov_rel.clone()))?;
+            let batch = execute_batch(
+                &sys.db,
+                &Plan::scan(spec.prov_rel.clone()),
+                Parallelism::Serial,
+                None,
+            )?;
             let is_base = rule
                 .body
                 .first()

@@ -124,17 +124,6 @@ pub fn evaluate_with(
     }
 }
 
-/// Evaluate assuming the graph is acyclic; errors if it is not.
-pub fn evaluate_acyclic(
-    graph: &ProvGraph,
-    assign: &Assignment<'_>,
-) -> Result<HashMap<TupleId, Annotation>> {
-    let order = graph
-        .topo_order()
-        .ok_or_else(|| Error::Semiring("provenance graph is cyclic".into()))?;
-    evaluate_in_order(graph, assign, &order)
-}
-
 /// Incremental re-evaluation of an **acyclic** graph after a localized
 /// change — the annotation half of incremental view maintenance.
 ///
@@ -587,14 +576,6 @@ mod tests {
         let assign =
             Assignment::default_for(SemiringKind::Weight).with_leaf(|_, _| Annotation::Bool(true));
         assert!(evaluate(&g, &assign).is_err());
-    }
-
-    #[test]
-    fn evaluate_acyclic_rejects_cycles() {
-        let g = example_graph();
-        assert!(
-            evaluate_acyclic(&g, &Assignment::default_for(SemiringKind::Derivability)).is_err()
-        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod probability;
 pub mod semiring;
 
 pub use annotation::{Annotation, SecurityLevel};
-pub use eval::{evaluate, evaluate_acyclic, evaluate_dirty, evaluate_with, Assignment};
+pub use eval::{evaluate, evaluate_dirty, evaluate_with, Assignment};
 pub use polynomial::{Monomial, Polynomial};
 pub use probability::{event_probability, event_probability_mc};
 pub use semiring::{MapFn, SemiringKind};

@@ -50,15 +50,10 @@ pub enum ExecMode {
 }
 
 /// Execute `plan` under the selected executor, materializing a row
-/// [`Relation`] either way (callers downstream are row-oriented).
-pub fn execute_with(db: &Database, plan: &Plan, mode: ExecMode) -> Result<Relation> {
-    execute_with_opts(db, plan, mode, Parallelism::Serial)
-}
-
-/// [`execute_with`] plus a [`Parallelism`] knob. Only the batch executor
-/// parallelizes; the row executors are serial oracles kept bit-for-bit
-/// stable.
-pub fn execute_with_opts(
+/// [`Relation`] either way (callers downstream are row-oriented). Only the
+/// batch executor uses `par`; the row executors are serial oracles kept
+/// bit-for-bit stable.
+pub fn execute_with(
     db: &Database,
     plan: &Plan,
     mode: ExecMode,
@@ -66,7 +61,7 @@ pub fn execute_with_opts(
 ) -> Result<Relation> {
     match mode {
         ExecMode::Batch => {
-            let batch = execute_batch_opts(db, plan, par)?;
+            let batch = execute_batch(db, plan, par, None)?;
             Ok(Relation {
                 names: batch.names.clone(),
                 rows: batch.to_rows(),
@@ -77,19 +72,29 @@ pub fn execute_with_opts(
     }
 }
 
-/// Execute `plan`, producing a columnar batch.
-pub fn execute_batch(db: &Database, plan: &Plan) -> Result<RecordBatch> {
-    execute_batch_opts(db, plan, Parallelism::Serial)
+/// Execute `plan`, producing a columnar batch. Morsel-parallel output is
+/// guaranteed bit-identical to the serial run for every plan shape.
+///
+/// With `stats`, the run also records every operator's actual row count
+/// and inclusive wall time (the `EXPLAIN ANALYZE` backend): the vector is
+/// overwritten with one [`OpStat`] per line of the rendered plan tree, in
+/// the same order, ready for [`crate::explain::explain_tree`].
+pub fn execute_batch(
+    db: &Database,
+    plan: &Plan,
+    par: Parallelism,
+    stats: Option<&mut Vec<OpStat>>,
+) -> Result<RecordBatch> {
+    let prof = stats.is_some().then(PlanProfile::new);
+    let batch = exec_inner(db, plan, 0, par.resolved(), prof.as_ref())?.materialize();
+    if let (Some(stats), Some(prof)) = (stats, prof) {
+        *stats = prof.into_stats();
+    }
+    Ok(batch)
 }
 
-/// [`execute_batch`] with morsel-driven parallelism. Output is guaranteed
-/// bit-identical to the serial run for every plan shape.
-pub fn execute_batch_opts(db: &Database, plan: &Plan, par: Parallelism) -> Result<RecordBatch> {
-    Ok(exec_inner(db, plan, 0, par.resolved(), None)?.materialize())
-}
-
-/// Actual row count and wall time of one plan operator, recorded by
-/// [`execute_batch_profiled`]. Stats are indexed in the **pre-order** the
+/// Actual row count and wall time of one plan operator, recorded by a
+/// profiled [`execute_batch`]. Stats are indexed in the **pre-order** the
 /// plan renderer walks ([`crate::explain::explain_tree`]): node first,
 /// then children (Join: left, then right), with view bodies excluded —
 /// so `stats[i]` annotates the `i`-th rendered plan line.
@@ -141,20 +146,6 @@ impl PlanProfile {
     fn into_stats(self) -> Vec<OpStat> {
         self.slots.into_inner().unwrap_or_else(|e| e.into_inner())
     }
-}
-
-/// Execute `plan` collecting per-operator actual row counts and timings
-/// (the `EXPLAIN ANALYZE` backend). The stats vector is ordered exactly
-/// like the rendered plan tree; pass it to
-/// [`crate::explain::explain_tree_analyzed`].
-pub fn execute_batch_profiled(
-    db: &Database,
-    plan: &Plan,
-    par: Parallelism,
-) -> Result<(RecordBatch, Vec<OpStat>)> {
-    let prof = PlanProfile::new();
-    let batch = exec_inner(db, plan, 0, par.resolved(), Some(&prof))?.materialize();
-    Ok((batch, prof.into_stats()))
 }
 
 /// A batch plus an optional **selection vector**: strictly ascending row
@@ -1201,6 +1192,11 @@ fn batch_distinct(batch: &RecordBatch, rows: &[u32]) -> Vec<u32> {
 
 /// Hash-grouped aggregation. Groups preserve first-seen order (matching the
 /// row executor); aggregates run with typed fast paths over dense columns.
+/// Under morsel-driven parallelism each morsel builds a partial group
+/// table, partials merge in morsel index order (so group ids,
+/// representative rows, and member order — hence `f64` SUM accumulation
+/// order — are identical to the serial pass), then aggregate folding
+/// parallelizes over chunks of groups.
 ///
 /// Public because the annotation layer evaluates semiring ⊕-sums directly
 /// through this operator (paper §4.2.4's `GROUP BY` step) without building
@@ -1210,26 +1206,12 @@ pub fn batch_aggregate(
     group_by: &[usize],
     aggs: &[Aggregate],
     having: Option<&Expr>,
-) -> Result<RecordBatch> {
-    batch_aggregate_opts(batch, group_by, aggs, having, Parallelism::Serial)
-}
-
-/// [`batch_aggregate`] with morsel-driven parallel grouping: each morsel
-/// builds a partial group table, partials merge in morsel index order (so
-/// group ids, representative rows, and member order — hence `f64` SUM
-/// accumulation order — are identical to the serial pass), then aggregate
-/// folding parallelizes over chunks of groups.
-pub fn batch_aggregate_opts(
-    batch: &RecordBatch,
-    group_by: &[usize],
-    aggs: &[Aggregate],
-    having: Option<&Expr>,
     par: Parallelism,
 ) -> Result<RecordBatch> {
     batch_aggregate_sel(batch, None, group_by, aggs, having, par)
 }
 
-/// [`batch_aggregate_opts`] over a selection: only the rows in `sel`
+/// [`batch_aggregate`] over a selection: only the rows in `sel`
 /// (ascending underlying indices; `None` = all rows) participate.
 fn batch_aggregate_sel(
     batch: &RecordBatch,
@@ -1587,14 +1569,15 @@ mod tests {
     /// exactly) on a plan — under every parallelism setting.
     fn assert_equivalent(db: &Database, plan: &Plan) {
         let row = execute(db, plan).expect("row executor");
-        let nested = execute_with(db, plan, ExecMode::NestedLoop).expect("nested loop");
+        let nested =
+            execute_with(db, plan, ExecMode::NestedLoop, Parallelism::Serial).expect("nested loop");
         assert_eq!(row.sorted_rows(), nested.sorted_rows());
         for par in [
             Parallelism::Serial,
             Parallelism::Threads(2),
             Parallelism::Threads(8),
         ] {
-            let batch = execute_with_opts(db, plan, ExecMode::Batch, par).expect("batch executor");
+            let batch = execute_with(db, plan, ExecMode::Batch, par).expect("batch executor");
             assert_eq!(row.names, batch.names, "par {par:?}");
             assert_eq!(row.sorted_rows(), batch.sorted_rows(), "par {par:?}");
         }
@@ -1656,7 +1639,7 @@ mod tests {
                     build,
                 };
                 let row = execute(&db, &plan).unwrap();
-                let batch = execute_with(&db, &plan, ExecMode::Batch).unwrap();
+                let batch = execute_with(&db, &plan, ExecMode::Batch, Parallelism::Serial).unwrap();
                 assert_eq!(row.rows, batch.rows, "jt={jt:?} build={build:?}");
             }
         }
@@ -1678,7 +1661,7 @@ mod tests {
             n: 1,
         };
         let row = execute(&db, &plan).unwrap();
-        let batch = execute_with(&db, &plan, ExecMode::Batch).unwrap();
+        let batch = execute_with(&db, &plan, ExecMode::Batch, Parallelism::Serial).unwrap();
         assert_eq!(row.rows, batch.rows);
         // A(1) has no C match, so the first output row is its padded row.
         assert!(batch.rows[0].get(3).is_null());
@@ -1886,9 +1869,9 @@ mod tests {
             },
         ];
         for plan in &plans {
-            let serial = execute_batch(&db, plan).unwrap();
+            let serial = execute_batch(&db, plan, Parallelism::Serial, None).unwrap();
             for threads in [2, 8] {
-                let par = execute_batch_opts(&db, plan, Parallelism::Threads(threads)).unwrap();
+                let par = execute_batch(&db, plan, Parallelism::Threads(threads), None).unwrap();
                 assert_eq!(serial.names, par.names);
                 assert_eq!(serial.to_rows(), par.to_rows(), "threads {threads}");
             }
@@ -1950,7 +1933,7 @@ mod tests {
         for plan in &bad_plans {
             for mode in [ExecMode::Batch, ExecMode::Row, ExecMode::NestedLoop] {
                 for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-                    let res = execute_with_opts(&db, plan, mode, par);
+                    let res = execute_with(&db, plan, mode, par);
                     assert!(res.is_err(), "mode {mode:?} par {par:?}: {plan:?}");
                 }
             }
@@ -1973,7 +1956,7 @@ mod tests {
         let db = Database::new();
         for mode in [ExecMode::Batch, ExecMode::Row, ExecMode::NestedLoop] {
             for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-                let err = execute_with_opts(&db, &p, mode, par).unwrap_err();
+                let err = execute_with(&db, &p, mode, par).unwrap_err();
                 assert!(
                     matches!(err, Error::Overflow(_)),
                     "mode {mode:?} par {par:?}: {err}"
@@ -2018,7 +2001,7 @@ mod tests {
                 Parallelism::Threads(2),
                 Parallelism::Threads(8),
             ] {
-                let got = execute_with_opts(&db, &p, mode, par).unwrap();
+                let got = execute_with(&db, &p, mode, par).unwrap();
                 // Exact equality: Value::Float compares bit patterns via
                 // total order, so any reassociation would fail here.
                 assert_eq!(want.rows, got.rows, "mode {mode:?} par {par:?}");

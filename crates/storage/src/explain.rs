@@ -186,16 +186,27 @@ pub fn sql_len(plan: &Plan) -> usize {
 }
 
 /// Render a plan as an indented operator tree, one node per line, with the
-/// cost-based optimizer's estimated output rows per operator. This is the
-/// body of the ProQL `EXPLAIN` output.
-pub fn explain_tree(db: &crate::database::Database, plan: &Plan) -> String {
+/// cost-based optimizer's estimated output rows per operator — the body of
+/// the ProQL `EXPLAIN` output.
+///
+/// `stats` are the actuals of a profiled
+/// [`execute_batch`](crate::batch_exec::execute_batch) of the same plan,
+/// for `EXPLAIN ANALYZE`: each operator line with a stat also carries its
+/// actual rows and inclusive wall time. Lines without one (all of them
+/// when `stats` is empty, or an operator short-circuited by an error)
+/// render as estimates only.
+pub fn explain_tree(
+    db: &crate::database::Database,
+    plan: &Plan,
+    stats: &[crate::batch_exec::OpStat],
+) -> String {
     let mut out = String::new();
-    tree_rec(db, plan, 0, &mut out);
+    let mut idx = 0usize;
+    render_node(db, plan, 0, stats, &mut idx, &mut out);
     out
 }
 
-/// One-line operator label shared by [`explain_tree`] and
-/// [`explain_tree_analyzed`].
+/// One-line operator label of [`explain_tree`].
 fn node_label(plan: &Plan) -> String {
     match plan {
         Plan::Scan { table } => format!("Scan {table}"),
@@ -252,14 +263,6 @@ fn node_label(plan: &Plan) -> String {
     }
 }
 
-fn tree_rec(db: &crate::database::Database, plan: &Plan, indent: usize, out: &mut String) {
-    let est = crate::optimize::estimate_rows(db, plan);
-    let pad = "  ".repeat(indent);
-    let line = format!("{pad}{}", node_label(plan));
-    let _ = writeln!(out, "{line:<56} ~{est} rows");
-    for_each_rendered_child(plan, |child| tree_rec(db, child, indent + 1, out));
-}
-
 /// Visit the children the plan renderer descends into, in render order
 /// (single input; Join: left then right; Union: inputs in order; leaves
 /// and view bodies: none). The profiled executor reserves stat slots in
@@ -286,23 +289,9 @@ fn for_each_rendered_child<'p>(plan: &'p Plan, mut f: impl FnMut(&'p Plan)) {
     }
 }
 
-/// [`explain_tree`] annotated with **actual** per-operator row counts and
-/// inclusive wall times from [`crate::batch_exec::execute_batch_profiled`]
-/// — the body of `EXPLAIN ANALYZE`. `stats` must come from profiling the
-/// same plan; missing slots (e.g. an operator short-circuited by an
-/// error) render as estimates only.
-pub fn explain_tree_analyzed(
-    db: &crate::database::Database,
-    plan: &Plan,
-    stats: &[crate::batch_exec::OpStat],
-) -> String {
-    let mut out = String::new();
-    let mut idx = 0usize;
-    analyzed_rec(db, plan, 0, stats, &mut idx, &mut out);
-    out
-}
-
-fn analyzed_rec(
+/// Render `plan`'s line and then its subtree one level deeper; `idx` is
+/// `plan`'s pre-order position, which indexes its stat in `stats`.
+fn render_node(
     db: &crate::database::Database,
     plan: &Plan,
     indent: usize,
@@ -338,7 +327,7 @@ fn analyzed_rec(
     }
     *idx += 1;
     for_each_rendered_child(plan, |child| {
-        analyzed_rec(db, child, indent + 1, stats, idx, out)
+        render_node(db, child, indent + 1, stats, idx, out)
     });
 }
 
@@ -406,13 +395,14 @@ mod tests {
         let plan = Plan::scan("A")
             .join(Plan::scan("A"), vec![0], vec![0])
             .filter(Expr::col(0).eq(Expr::lit(1)));
-        let text = explain_tree(&db, &plan);
+        let text = explain_tree(&db, &plan, &[]);
         assert!(text.contains("Filter"), "{text}");
         assert!(text.contains("InnerJoin"), "{text}");
         assert!(text.contains("Scan A"), "{text}");
         assert!(text.contains("~8 rows"), "{text}");
-        // Every line carries an estimate.
+        // Every line carries an estimate, and nothing else without stats.
         assert!(text.lines().all(|l| l.contains(" rows")), "{text}");
+        assert!(!text.contains("actual"), "{text}");
     }
 
     #[test]
@@ -429,10 +419,12 @@ mod tests {
         let plan = Plan::scan("A")
             .join(Plan::scan("A"), vec![0], vec![0])
             .filter(Expr::col(0).eq(Expr::lit(1)));
-        let (batch, stats) =
-            crate::batch_exec::execute_batch_profiled(&db, &plan, Parallelism::Serial).unwrap();
+        let mut stats = Vec::new();
+        let batch =
+            crate::batch_exec::execute_batch(&db, &plan, Parallelism::Serial, Some(&mut stats))
+                .unwrap();
         // One stat per rendered line, in the same order.
-        let text = explain_tree_analyzed(&db, &plan, &stats);
+        let text = explain_tree(&db, &plan, &stats);
         assert_eq!(stats.len(), text.lines().count(), "{text}");
         assert!(text.lines().all(|l| l.contains("actual")), "{text}");
         // The root line's actual row count is the query's result size.
@@ -470,10 +462,12 @@ mod tests {
             Expr::col(0),
             Expr::lit(10),
         ));
-        let (batch, stats) =
-            crate::batch_exec::execute_batch_profiled(&db, &plan, Parallelism::Serial).unwrap();
+        let mut stats = Vec::new();
+        let batch =
+            crate::batch_exec::execute_batch(&db, &plan, Parallelism::Serial, Some(&mut stats))
+                .unwrap();
         assert_eq!(batch.len(), 10);
-        let text = explain_tree_analyzed(&db, &plan, &stats);
+        let text = explain_tree(&db, &plan, &stats);
         assert_eq!(stats.len(), text.lines().count(), "{text}");
         let scan = text
             .lines()

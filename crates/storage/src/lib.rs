@@ -17,11 +17,12 @@
 //!   column vectors ([`batch::Column`] / [`RecordBatch`]), vectorized
 //!   predicate evaluation, hash equi-joins with optimizer-picked build
 //!   sides, and hash-grouped aggregation — with an optional
-//!   **morsel-driven parallel** mode ([`Parallelism`], via
-//!   [`execute_batch_opts`]) that is bit-identical to the serial pass,
+//!   **morsel-driven parallel** mode (the [`Parallelism`] argument of
+//!   [`execute_batch`]) that is bit-identical to the serial pass, and
+//!   optional per-operator profiling ([`OpStat`]) for `EXPLAIN ANALYZE`,
 //! * a row-at-a-time [executor](exec::execute) (hash-join or nested-loop
 //!   [`JoinAlgo`]) kept as the equivalence oracle and ablation baseline —
-//!   pick one via [`ExecMode`] / [`execute_with`],
+//!   [`execute_with`] runs a plan under any [`ExecMode`],
 //! * an incrementally-maintained [statistics subsystem](stats) (per-table
 //!   row counts, per-column NDV/min-max) feeding a **cost-based
 //!   multi-pass [optimizer](optimize::optimize_with)** — selection
@@ -29,7 +30,7 @@
 //!   build-side selection — plus an `EXPLAIN`-style
 //!   [SQL renderer](explain::to_sql) and
 //!   [operator-tree renderer](explain::explain_tree) with estimated rows
-//!   per operator.
+//!   (and, given a profiled run's stats, actual rows) per operator.
 
 pub mod batch;
 pub mod batch_exec;
@@ -46,10 +47,7 @@ pub mod table;
 pub mod zone;
 
 pub use batch::{Column, RecordBatch};
-pub use batch_exec::{
-    batch_aggregate, batch_aggregate_opts, execute_batch, execute_batch_opts,
-    execute_batch_profiled, execute_with, execute_with_opts, ExecMode, OpStat,
-};
+pub use batch_exec::{batch_aggregate, execute_batch, execute_with, ExecMode, OpStat};
 pub use database::Database;
 pub use dict::Dictionary;
 pub use exec::{execute, JoinAlgo, Relation};

@@ -12,7 +12,7 @@ use proql_common::{Parallelism, Schema, Tuple, Value, ValueType};
 use proql_provgraph::encode::wire::{decode_snapshot_frame, encode_snapshot_frame, SnapshotFrame};
 use proql_storage::explain::explain_tree;
 use proql_storage::optimize::optimize_with;
-use proql_storage::{execute_with_opts, AggFunc, Aggregate, Database, ExecMode, Expr, Plan};
+use proql_storage::{execute_with, AggFunc, Aggregate, Database, ExecMode, Expr, Plan};
 
 const PAR_SWEEP: [Parallelism; 3] = [
     Parallelism::Serial,
@@ -168,15 +168,15 @@ fn dict_on_and_off_are_bit_identical_across_modes_and_parallelism() {
                 "case {case} plan {pi}: optimizer chose different plans"
             );
             assert_eq!(
-                explain_tree(&on, &opt_on),
-                explain_tree(&off, &opt_off),
+                explain_tree(&on, &opt_on, &[]),
+                explain_tree(&off, &opt_off, &[]),
                 "case {case} plan {pi}: EXPLAIN estimates diverged"
             );
             let mut want: Option<(Vec<String>, Vec<Tuple>, u64)> = None;
             for &mode in modes {
                 for par in PAR_SWEEP {
                     for (db, knob) in [(&on, "on"), (&off, "off")] {
-                        let r = execute_with_opts(db, &opt_on, mode, par).unwrap();
+                        let r = execute_with(db, &opt_on, mode, par).unwrap();
                         let d = digest(&r.names, &r.rows);
                         match &want {
                             None => want = Some((r.names, r.rows, d)),
@@ -280,8 +280,8 @@ fn dictionary_maintenance_under_insert_delete_truncate() {
         // the final one.
         let needle = word(&mut rng);
         let plan = Plan::scan("S").filter(Expr::col(1).eq(Expr::lit(needle)));
-        let a = execute_with_opts(&on, &plan, ExecMode::Batch, Parallelism::Threads(4)).unwrap();
-        let b = execute_with_opts(&off, &plan, ExecMode::Row, Parallelism::Serial).unwrap();
+        let a = execute_with(&on, &plan, ExecMode::Batch, Parallelism::Threads(4)).unwrap();
+        let b = execute_with(&off, &plan, ExecMode::Row, Parallelism::Serial).unwrap();
         assert_eq!(a.rows, b.rows, "round {round}: filter diverged");
     }
 }

@@ -8,7 +8,7 @@
 use proql::agg_eval::evaluate_via_aggregation;
 use proql::engine::{Engine, EngineOptions, Strategy};
 use proql::translate::{translate, TranslateOptions};
-use proql::{parse_query, run_projection_opts, run_projection_with};
+use proql::{parse_query, prepare_rules, run_projection_prepared};
 use proql_cdss::topology::{build_system, target_query, CdssConfig, Topology};
 use proql_common::rng::SplitMix64;
 use proql_common::{tup, Parallelism};
@@ -47,9 +47,11 @@ fn executors_agree_on_randomized_cdss_instances() {
         let sys = build_system(topo, &cfg).unwrap();
         let q = parse_query(target_query()).unwrap();
         let t = translate(&sys, &q, None, &TranslateOptions::default()).unwrap();
-        let batch = run_projection_with(&sys, &t, ExecMode::Batch).unwrap();
-        let row = run_projection_with(&sys, &t, ExecMode::Row).unwrap();
-        let nested = run_projection_with(&sys, &t, ExecMode::NestedLoop).unwrap();
+        let rules = prepare_rules(&sys, &t).unwrap();
+        let run = |mode, par| run_projection_prepared(&sys, &t, &rules, mode, par).unwrap();
+        let batch = run(ExecMode::Batch, Parallelism::Serial);
+        let row = run(ExecMode::Row, Parallelism::Serial);
+        let nested = run(ExecMode::NestedLoop, Parallelism::Serial);
         assert_eq!(
             batch.bindings, row.bindings,
             "case {case}: bindings (batch vs row)"
@@ -74,7 +76,7 @@ fn executors_agree_on_randomized_cdss_instances() {
         // derivations, bindings, and metrics included.
         for par in PAR_SWEEP {
             for mode in [ExecMode::Batch, ExecMode::Row] {
-                let p = run_projection_opts(&sys, &t, mode, par).unwrap();
+                let p = run(mode, par);
                 assert_eq!(
                     batch.bindings, p.bindings,
                     "case {case}: bindings under {par:?}/{mode:?}"
@@ -255,8 +257,14 @@ fn aggregation_operator_respects_semiring_sum_laws() {
                     ],
                     perm.len(),
                 );
-                let out =
-                    batch_aggregate(&batch, &[0], &[Aggregate::new(agg(1), "s")], None).unwrap();
+                let out = batch_aggregate(
+                    &batch,
+                    &[0],
+                    &[Aggregate::new(agg(1), "s")],
+                    None,
+                    Parallelism::Serial,
+                )
+                .unwrap();
                 let mut m: std::collections::BTreeMap<i64, proql_common::Value> =
                     Default::default();
                 for row in 0..out.len() {

@@ -143,48 +143,87 @@ fn prepare_span_splits_time_by_phase() {
 
 /// `EXPLAIN ANALYZE` actuals agree exactly with the result sizes of a
 /// plain run — which itself is digest-checked against a second plain
-/// run, so the counts being compared are the counts being served.
+/// run, so the counts being compared are the counts being served — under
+/// every executor and parallelism setting. Only the batch executor
+/// profiles operators; the row executors render estimate-only lines.
 #[test]
 fn explain_analyze_actuals_match_digest_checked_result_sizes() {
     let sys = build_system(Topology::Chain, &CdssConfig::upstream_data(4, 2, 20)).unwrap();
-    let engine = Engine::new(sys);
     let q = target_query();
-    let a = engine.query(q).unwrap();
-    let b = engine.query(q).unwrap();
-    assert_eq!(
-        result_digest(&a),
-        result_digest(&b),
-        "plain runs must agree"
-    );
+    for mode in [ExecMode::Batch, ExecMode::Row, ExecMode::NestedLoop] {
+        for par in [Parallelism::Serial, Parallelism::Threads(4)] {
+            let engine = Engine::with_options(
+                sys.clone(),
+                EngineOptions {
+                    exec_mode: mode,
+                    parallelism: par,
+                    ..EngineOptions::default()
+                },
+            );
+            let a = engine.query(q).unwrap();
+            let b = engine.query(q).unwrap();
+            assert_eq!(
+                result_digest(&a),
+                result_digest(&b),
+                "{mode:?}/{par:?}: plain runs must agree"
+            );
 
-    let analyzed = engine.query(&format!("EXPLAIN ANALYZE {q}")).unwrap();
-    let plan = analyzed.plan.expect("EXPLAIN ANALYZE renders a plan");
-    // Per-operator annotations: estimates and actuals side by side.
-    assert!(plan.contains("~"), "estimates missing: {plan}");
-    assert!(plan.contains(" actual "), "actuals missing: {plan}");
-    // The footer's totals must match the served result exactly.
-    let footer = plan
-        .lines()
-        .find(|l| l.starts_with("actual: "))
-        .unwrap_or_else(|| panic!("no actual totals footer: {plan}"));
-    let nums: Vec<u64> = footer
-        .split(|c: char| !c.is_ascii_digit())
-        .filter(|t| !t.is_empty())
-        .take(2)
-        .map(|t| t.parse().unwrap())
-        .collect();
-    assert_eq!(
-        nums[0],
-        a.projection.bindings.len() as u64,
-        "binding rows diverge: {footer}"
-    );
-    assert_eq!(
-        nums[1],
-        a.projection.derivation_count() as u64,
-        "derivation rows diverge: {footer}"
-    );
-    // ANALYZE is still an EXPLAIN: it must not serve result rows.
-    assert!(analyzed.projection.bindings.is_empty());
+            let analyzed = engine.query(&format!("EXPLAIN ANALYZE {q}")).unwrap();
+            let plan = analyzed.plan.expect("EXPLAIN ANALYZE renders a plan");
+            // Per-operator annotations: estimates, and for the batch
+            // executor actuals side by side on every operator line.
+            assert!(
+                plan.contains("~"),
+                "{mode:?}/{par:?}: estimates missing: {plan}"
+            );
+            let op_lines: Vec<&str> = plan
+                .lines()
+                .filter(|l| l.contains(" rows") && l.contains('~') && !l.starts_with("rule "))
+                .collect();
+            assert!(
+                !op_lines.is_empty(),
+                "{mode:?}/{par:?}: no operators: {plan}"
+            );
+            if mode == ExecMode::Batch {
+                assert!(
+                    plan.contains(" actual "),
+                    "{par:?}: actuals missing: {plan}"
+                );
+                assert!(
+                    op_lines.iter().all(|l| l.contains(" actual ")),
+                    "{par:?}: an operator line lacks actuals: {plan}"
+                );
+            } else {
+                assert!(
+                    !plan.contains(" actual "),
+                    "{mode:?}/{par:?}: row executors report no operator stats: {plan}"
+                );
+            }
+            // The footer's totals must match the served result exactly.
+            let footer = plan
+                .lines()
+                .find(|l| l.starts_with("actual: "))
+                .unwrap_or_else(|| panic!("{mode:?}/{par:?}: no actual totals footer: {plan}"));
+            let nums: Vec<u64> = footer
+                .split(|c: char| !c.is_ascii_digit())
+                .filter(|t| !t.is_empty())
+                .take(2)
+                .map(|t| t.parse().unwrap())
+                .collect();
+            assert_eq!(
+                nums[0],
+                a.projection.bindings.len() as u64,
+                "{mode:?}/{par:?}: binding rows diverge: {footer}"
+            );
+            assert_eq!(
+                nums[1],
+                a.projection.derivation_count() as u64,
+                "{mode:?}/{par:?}: derivation rows diverge: {footer}"
+            );
+            // ANALYZE is still an EXPLAIN: it must not serve result rows.
+            assert!(analyzed.projection.bindings.is_empty());
+        }
+    }
 
     // Parsing accepts the keyword only after EXPLAIN.
     assert!(

@@ -18,7 +18,7 @@ use proql_common::{tup, Parallelism, Schema, Tuple, Value, ValueType};
 use proql_storage::optimize::{
     optimize, optimize_with, optimize_with_config, OptimizerConfig, Pass,
 };
-use proql_storage::{execute, execute_with_opts, Database, ExecMode, Expr, IndexKind, Plan};
+use proql_storage::{execute, execute_with, Database, ExecMode, Expr, IndexKind, Plan};
 
 /// Random 2-column int table with skewed second column.
 fn random_db(rng: &mut SplitMix64) -> Database {
@@ -182,7 +182,7 @@ fn check_every_config(db: &Database, plan: &Plan, round: usize) -> usize {
         }
         for mode in [ExecMode::Batch, ExecMode::Row, ExecMode::NestedLoop] {
             for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-                let got = execute_with_opts(db, &opt, mode, par).unwrap_or_else(|e| {
+                let got = execute_with(db, &opt, mode, par).unwrap_or_else(|e| {
                     panic!("round {round} cfg {cfg:?} mode {mode:?} par {par:?}: {e}")
                 });
                 assert_eq!(
@@ -413,7 +413,7 @@ fn full_pipeline_equals_unoptimized_on_fk_shaped_chains() {
         let opt = optimize_with(&db, plan);
         for mode in [ExecMode::Batch, ExecMode::Row, ExecMode::NestedLoop] {
             for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-                let got = execute_with_opts(&db, &opt, mode, par).unwrap();
+                let got = execute_with(&db, &opt, mode, par).unwrap();
                 assert_eq!(got.names, want.names);
                 assert_eq!(got.sorted_rows(), want.sorted_rows());
             }

@@ -19,8 +19,8 @@ use proql_common::{tup, Parallelism, Tuple, Value};
 use proql_provgraph::ProvGraph;
 use proql_semiring::{evaluate, evaluate_with, Annotation, Assignment, Polynomial, SemiringKind};
 use proql_storage::{
-    execute, execute_with, execute_with_opts, optimize::optimize, optimize::optimize_with,
-    Database, ExecMode, Expr, Plan,
+    execute, execute_with, optimize::optimize, optimize::optimize_with, Database, ExecMode, Expr,
+    Plan,
 };
 
 const KINDS: [SemiringKind; 8] = [
@@ -283,7 +283,11 @@ fn optimizer_and_executors_preserve_semantics() {
             optimize_with(&db, plan.clone()),
         ] {
             for mode in [ExecMode::Batch, ExecMode::Row, ExecMode::NestedLoop] {
-                let got = sort(execute_with(&db, &optimized, mode).unwrap().rows);
+                let got = sort(
+                    execute_with(&db, &optimized, mode, Parallelism::Serial)
+                        .unwrap()
+                        .rows,
+                );
                 assert_eq!(plain, got, "case {case}: mode {mode:?} diverged");
             }
             // Morsel-parallel batch execution is result-identical too.
@@ -294,7 +298,7 @@ fn optimizer_and_executors_preserve_semantics() {
                 Parallelism::Auto,
             ] {
                 let got = sort(
-                    execute_with_opts(&db, &optimized, ExecMode::Batch, par)
+                    execute_with(&db, &optimized, ExecMode::Batch, par)
                         .unwrap()
                         .rows,
                 );
